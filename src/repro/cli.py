@@ -522,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="analyze a campaign trace written by --trace-dir"
     )
     p.add_argument("trace", metavar="TRACE.jsonl", nargs="?", default=None,
-                   help="trace file produced by --trace-dir")
+                   help="trace file produced by --trace-dir, or that "
+                        "directory (every *.trace.jsonl in it)")
     p.add_argument("--service", default=None, metavar="DIR",
                    help="aggregate every job trace in a service directory "
                         "(the --registry-dir of `repro serve`) into one "

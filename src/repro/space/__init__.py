@@ -28,7 +28,7 @@ from .serialize import (
     space_from_dict,
     space_to_dict,
 )
-from .space import InfeasibleSpaceError, PinnedSubspace, SearchSpace
+from .space import InfeasibleSpaceError, PinnedSubspace, RepairStats, SearchSpace
 
 __all__ = [
     "Parameter",
@@ -45,6 +45,7 @@ __all__ = [
     "SearchSpace",
     "PinnedSubspace",
     "InfeasibleSpaceError",
+    "RepairStats",
     "Condition",
     "ConditionalSpace",
     "space_to_dict",

@@ -15,9 +15,9 @@ parameters, so objectives, the unit-cube encoding, the evaluation
 database, and the memoization cache all keep working unchanged.  Masking
 is enforced everywhere configurations are produced:
 
-* ``_raw_batch`` / ``_repair_batch`` — sampled and repair-redrawn
-  configurations are masked, so repair sampling can never activate a
-  dead branch;
+* ``sample_batch`` — drawn and repair-redrawn columns are masked in
+  place (the ``_mask_columns`` hook of the column sampler), so repair
+  sampling can never activate a dead branch;
 * ``decode`` / ``decode_batch`` — any sampler that proposes through the
   unit-cube codec (BO, QMC, CMA-ES-lite, LHS initial designs) is
   conditionally-safe by construction;
@@ -37,7 +37,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, check_all
+from .constraints import Constraint
 from .parameters import Parameter
 from .space import SearchSpace
 
@@ -203,18 +203,27 @@ class ConditionalSpace(SearchSpace):
     # ------------------------------------------------------------------
     # Sampling and decoding: mask at every production site
     # ------------------------------------------------------------------
-    def _raw_batch(self, n: int, rng: np.random.Generator) -> list[dict[str, Any]]:
-        return [self.mask(cfg) for cfg in super()._raw_batch(n, rng)]
-
-    def _repair_batch(
-        self, configs: list[dict[str, Any]], rng: np.random.Generator, *, rounds: int = 40
-    ) -> list[dict[str, Any]]:
-        # Re-mask after constraint repair: a repair redraw of a parent can
-        # flip a child's activity, and a redraw of an inactive child must
-        # never stick (repair can never activate a dead branch).
-        repaired = super()._repair_batch(configs, rng, rounds=rounds)
-        masked = [self.mask(cfg) for cfg in repaired]
-        return [cfg for cfg in masked if check_all(self.constraints, cfg)]
+    def _mask_columns(self, columns: dict[str, list], n: int) -> bool:
+        # Mask drawn rows, and re-mask repaired ones: a repair redraw of a
+        # parent can flip a child's activity, and a redraw of an inactive
+        # child must never stick (repair can never activate a dead branch).
+        off: dict[str, list[bool]] = {}
+        for p in self.parameters:
+            cond = self.conditions.get(p.name)
+            if cond is None:
+                continue
+            parent_off = off.get(cond.parent, [False] * n)
+            parent = columns[cond.parent]
+            child_off = [
+                parent_off[i] or not cond.holds(parent[i]) for i in range(n)
+            ]
+            off[p.name] = child_off
+            column = columns[p.name]
+            inactive = self.inactive_value(p.name)
+            for i in range(n):
+                if child_off[i]:
+                    column[i] = inactive
+        return True
 
     def decode(self, x: np.ndarray | Sequence[float]) -> dict[str, Any]:
         return self.mask(super().decode(x))

@@ -14,7 +14,9 @@ and provides the primitives every engine in this package builds on:
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from .constraints import Constraint, check_all
 from .parameters import Parameter, Real
 
-__all__ = ["SearchSpace", "InfeasibleSpaceError"]
+__all__ = ["SearchSpace", "InfeasibleSpaceError", "RepairStats"]
 
 
 class InfeasibleSpaceError(RuntimeError):
@@ -30,6 +32,18 @@ class InfeasibleSpaceError(RuntimeError):
     within the retry budget — usually a sign of over-aggressive constraints,
     which the paper warns 'could confine the search within local minima and
     create additional overhead'."""
+
+
+@dataclass
+class RepairStats:
+    """Cumulative counts of the work constrained sampling did beyond plain
+    draws, so that repair is visible rather than silent.  Diagnostics only:
+    they enter no fingerprint and no result metadata."""
+
+    rounds: int = 0  #: repair passes that found a violated constraint
+    redrawn: int = 0  #: values redrawn by repair
+    dropped: int = 0  #: repaired rows discarded (round budget or re-mask)
+    fallbacks: int = 0  #: columnar constraint checks redone row by row
 
 
 class SearchSpace:
@@ -64,6 +78,7 @@ class SearchSpace:
         self.constraints: list[Constraint] = list(constraints)
         self.name = name
         self._by_name = {p.name: p for p in params}
+        self.repair_stats = RepairStats()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -131,52 +146,124 @@ class SearchSpace:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _raw_batch(self, n: int, rng: np.random.Generator) -> list[dict[str, Any]]:
-        """``n`` unconstrained configurations via one vectorized draw per
-        parameter (constraints not yet applied)."""
-        columns = [p.sample_batch(n, rng) for p in self.parameters]
-        names = self.names
-        return [dict(zip(names, row)) for row in zip(*columns)]
+    # A batch is held as per-parameter columns (lists of the values
+    # ``Parameter.sample_batch`` returned) until the final decode to
+    # dicts; feasibility and repair are computed per constraint over
+    # whole columns through ``Constraint.mask``.
 
-    def _repair_batch(
-        self, configs: list[dict[str, Any]], rng: np.random.Generator, *, rounds: int = 40
-    ) -> list[dict[str, Any]]:
-        """Per-constraint repair sampling.
+    def _fixed(self) -> Mapping[str, Any]:
+        """Values shared by every row of a batch (a subspace's pins)."""
+        return {}
+
+    def _enforced(self) -> list[Constraint]:
+        """Constraints whose every name is drawn or fixed; the rest are idle."""
+        known = set(self._by_name) | set(self._fixed())
+        return [c for c in self.constraints if all(n in known for n in c.names)]
+
+    def _view(self, columns: dict[str, list], n: int) -> dict[str, Any]:
+        """What constraints see: fixed values as scalars, then the columns."""
+        fixed = self._fixed()
+        if not fixed:
+            return columns
+        # A list-valued pin would read as a column; broadcast it into one.
+        view = {k: [v] * n if isinstance(v, list) else v for k, v in fixed.items()}
+        view.update(columns)
+        return view
+
+    def _feasible(
+        self, columns: dict[str, list], n: int, constraints: Sequence[Constraint]
+    ) -> np.ndarray:
+        view = self._view(columns, n)
+        ok = np.ones(n, dtype=bool)
+        for c in constraints:
+            ok &= c.mask(view, n, stats=self.repair_stats)
+        return ok
+
+    def _mask_columns(self, columns: dict[str, list], n: int) -> bool:
+        """Hook run on every drawn and repaired batch; a subclass that may
+        rewrite values in place returns ``True`` so repaired rows are
+        re-checked afterwards."""
+        return False
+
+    def _draw(self, n: int, rng: np.random.Generator) -> dict[str, list]:
+        """``n`` unconstrained rows: one ``sample_batch`` per parameter."""
+        columns = {}
+        for p in self.parameters:
+            values = p.sample_batch(n, rng)
+            columns[p.name] = values if type(values) is list else list(values)
+        self._mask_columns(columns, n)
+        return columns
+
+    def _repair(
+        self,
+        columns: dict[str, list],
+        n: int,
+        rng: np.random.Generator,
+        constraints: Sequence[Constraint],
+        *,
+        rounds: int = 40,
+    ) -> list[tuple]:
+        """Per-constraint repair sampling of ``n`` infeasible rows.
 
         For each violated constraint, only that constraint's parameters
-        are redrawn.  When constraints touch disjoint parameter groups
+        are redrawn, in the order of its ``names``, and only in the rows
+        that violate it.  When constraints touch disjoint parameter groups
         (the typical HPC shape — e.g. one occupancy rule per kernel), the
         feasible set is a product of per-group feasible sets and this
         procedure samples it *exactly* uniformly, while whole-config
         rejection would need the product of all acceptance rates.
         Overlapping constraints are handled by iterating to a fixpoint;
-        configurations still invalid after ``rounds`` are dropped.
+        rows still infeasible after ``rounds`` are dropped.
         """
-        pending = list(configs)
+        stats = self.repair_stats
+        view = self._view(columns, n)
+        # A constraint found satisfied by every row stays so until one of
+        # its parameters is redrawn; it is not re-checked before then.
+        satisfied: set[Constraint] = set()
+        converged = False
         for _ in range(rounds):
             broken = False
-            for c in self.constraints:
-                if not c.applies_to(self.names) and not isinstance(self, PinnedSubspace):
+            for c in constraints:
+                if c in satisfied:
                     continue
-                bad = [
-                    cfg for cfg in pending
-                    if not c.is_satisfied(self._completed_view(cfg))
-                ]
+                bad = np.flatnonzero(~c.mask(view, n, stats=stats)).tolist()
                 if not bad:
+                    satisfied.add(c)
                     continue
                 broken = True
-                names = [n for n in c.names if n in self._by_name]
-                for name in names:
-                    vals = self._by_name[name].sample_batch(len(bad), rng)
-                    for cfg, v in zip(bad, vals):
-                        cfg[name] = v
+                for name in c.names:
+                    p = self._by_name.get(name)
+                    if p is None:
+                        continue  # fixed
+                    column = columns[name]
+                    for i, v in zip(bad, p.sample_batch(len(bad), rng)):
+                        column[i] = v
+                    stats.redrawn += len(bad)
+                    satisfied.difference_update(
+                        [d for d in satisfied if name in d.names]
+                    )
             if not broken:
-                return pending
-        return [cfg for cfg in pending if self._constraints_ok(cfg)]
+                converged = True
+                break
+            stats.rounds += 1
+        keep = np.ones(n, dtype=bool)
+        if not converged:
+            keep &= self._feasible(columns, n, constraints)
+        if self._mask_columns(columns, n):
+            keep &= self._feasible(columns, n, constraints)
+        stats.dropped += n - int(keep.sum())
+        return list(itertools.compress(zip(*columns.values()), keep))
 
-    def _completed_view(self, config: Mapping[str, Any]) -> Mapping[str, Any]:
-        """Hook: subclasses merge pinned values before constraint checks."""
-        return config
+    def _check_fixed(self, constraints: Sequence[Constraint]) -> None:
+        """Fail fast on a constraint that reads only fixed values: no draw
+        can repair it, so when it fails no configuration is feasible."""
+        fixed = self._fixed()
+        for c in constraints:
+            if not any(n in self._by_name for n in c.names) and not c.is_satisfied(fixed):
+                raise InfeasibleSpaceError(
+                    f"constraint {c.name!r} fails on the pinned values of "
+                    f"{self.name!r}; no configuration is feasible"
+                )
 
     def sample(
         self,
@@ -203,7 +290,8 @@ class SearchSpace:
     ) -> list[dict[str, Any]]:
         """Draw ``n`` feasible configurations (vectorized rejection
         sampling: whole chunks are drawn per parameter, then filtered
-        through the constraints).
+        through the constraints; when too few pass, the rest are repaired
+        and appended after the feasible rows).
 
         With ``unique=True`` duplicates (by parameter values) are
         filtered, falling back to returning fewer than ``n`` when the
@@ -211,6 +299,9 @@ class SearchSpace:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        constraints = self._enforced()
+        self._check_fixed(constraints)
+        names = self.names
         out: list[dict[str, Any]] = []
         seen: set[tuple] = set()
         attempts = 0
@@ -218,18 +309,19 @@ class SearchSpace:
         while len(out) < n and attempts < max_rejects:
             take = min(chunk, max_rejects - attempts)
             attempts += take
-            raw = self._raw_batch(take, rng)
-            valid = [cfg for cfg in raw if self._constraints_ok(cfg)]
-            if len(valid) < min(take, n - len(out)):
-                invalid = [cfg for cfg in raw if not self._constraints_ok(cfg)]
-                valid.extend(self._repair_batch(invalid, rng))
-            for cfg in valid:
+            columns = self._draw(take, rng)
+            ok = self._feasible(columns, take, constraints)
+            rows = list(itertools.compress(zip(*columns.values()), ok))
+            if len(rows) < min(take, n - len(out)):
+                bad = np.flatnonzero(~ok).tolist()
+                broken = {k: [col[i] for i in bad] for k, col in columns.items()}
+                rows.extend(self._repair(broken, len(bad), rng, constraints))
+            for row in rows:
                 if unique:
-                    key = tuple(cfg[k] for k in self.names)
-                    if key in seen:
+                    if row in seen:
                         continue
-                    seen.add(key)
-                out.append(cfg)
+                    seen.add(row)
+                out.append(dict(zip(names, row)))
                 if len(out) >= n:
                     break
             chunk = min(4 * chunk, 8192)
@@ -388,8 +480,8 @@ class PinnedSubspace(SearchSpace):
     def _constraints_ok(self, config: Mapping[str, Any]) -> bool:
         return check_all(self.constraints, self.complete(config))
 
-    def _completed_view(self, config: Mapping[str, Any]) -> Mapping[str, Any]:
-        return self.complete(config)
+    def _fixed(self) -> Mapping[str, Any]:
+        return self.pinned
 
     def complete(self, config: Mapping[str, Any]) -> dict[str, Any]:
         """Merge kept values with the pinned assignments -> full config."""

@@ -35,7 +35,15 @@ from ..core.routine import Routine, RoutineSet
 from ..mpisim.cluster import ClusterSpec, perlmutter_gpu
 from ..mpisim.collectives import allreduce_time
 from ..mpisim.comm import CartGrid
-from ..space import Constant, Constraint, Integer, Ordinal, Parameter, SearchSpace
+from ..space import (
+    Constant,
+    Constraint,
+    ExpressionConstraint,
+    Integer,
+    Ordinal,
+    Parameter,
+    SearchSpace,
+)
 from .gpu import GpuSpec, a100
 from .slater import SlaterPipeline
 from .systems import PhysicalSystem
@@ -133,20 +141,16 @@ class RTTDDFTApplication:
         params.append(Integer("nstreams", 1, 32, default=1))
         params.append(Integer("nbatches", 1, 32, default=4))
 
-        constraints: list[Constraint] = []
-        limit = self.gpu.max_threads_per_sm
-        for k in KERNEL_KEYS:
-            constraints.append(
-                Constraint(
-                    lambda c, _k=k, _lim=limit: c[f"tb_{_k}"] * c[f"tb_sm_{_k}"] <= _lim,
-                    names=(f"tb_{k}", f"tb_sm_{k}"),
-                    name=f"occupancy_{k}",
-                )
-            )
+        # Declarative, so numpy checks whole candidate batches at once (and
+        # the space serializes); limits are written in as int literals.
+        limit = int(self.gpu.max_threads_per_sm)
+        constraints: list[Constraint] = [
+            ExpressionConstraint(f"tb_{k} * tb_sm_{k} <= {limit}", name=f"occupancy_{k}")
+            for k in KERNEL_KEYS
+        ]
         constraints.append(
-            Constraint(
-                lambda c, _r=self.cluster.total_ranks: c["nstb"] * c["nkpb"] * c["nspb"] <= _r,
-                names=("nstb", "nkpb", "nspb"),
+            ExpressionConstraint(
+                f"nstb * nkpb * nspb <= {int(self.cluster.total_ranks)}",
                 name="mpi_grid_fits_allocation",
             )
         )

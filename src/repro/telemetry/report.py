@@ -1,4 +1,4 @@
-"""Post-hoc trace analysis: ``repro report <trace.jsonl>``.
+"""Post-hoc trace analysis: ``repro report <trace.jsonl | trace dir>``.
 
 Turns a campaign's JSONL trace into the two artifacts the paper's
 accounting revolves around:
@@ -28,12 +28,19 @@ __all__ = ["load_trace", "TraceReport"]
 
 
 def load_trace(path: str | os.PathLike) -> list[dict[str, Any]]:
-    """Read one trace file (plus rotated siblings, oldest first).
+    """Read one trace file (plus rotated siblings, oldest first), or every
+    ``*.trace.jsonl`` file in a directory (the ``--trace-dir`` layout), in
+    name order.
 
     Tolerates a torn final line (crash mid-append), like the evaluation
     checkpoint loader.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):
+        files = sorted(f for f in os.listdir(path) if f.endswith(".trace.jsonl"))
+        if not files:
+            raise FileNotFoundError(f"{path}: no *.trace.jsonl files")
+        return [e for f in files for e in load_trace(os.path.join(path, f))]
     segments = []
     i = 1
     while os.path.exists(f"{path}.{i}"):

@@ -116,6 +116,19 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match="not a repro trace"):
             load_trace(path)
 
+    def test_directory_loads_every_trace_file(self, tmp_path):
+        for name in ("b", "a"):
+            with JsonlSink(tmp_path / f"{name}.trace.jsonl") as sink:
+                sink.emit({"kind": "span", "scope": "s", "seq": 0, "name": name})
+        (tmp_path / "notes.txt").write_text("not a trace")
+        events = load_trace(tmp_path)
+        assert [e["name"] for e in events] == ["a", "b"]
+        assert load_trace(tmp_path / "a.trace.jsonl") == events[:1]
+
+    def test_directory_without_traces_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_trace(tmp_path)
+
 
 class TestFsyncPolicy:
     def test_policies_exported_and_validated(self):

@@ -149,12 +149,16 @@ class TestTelemetryCommands:
         assert trace.exists()
         capsys.readouterr()
 
-        rc = main(["report", str(trace)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "stage wall-time attribution" in out
-        assert "best-value-vs-evaluations progression" in out
-        assert "campaign" in out
+        outputs = []
+        for source in (trace, tmp_path):  # the file, and the --trace-dir itself
+            rc = main(["report", str(source)])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "stage wall-time attribution" in out
+            assert "best-value-vs-evaluations progression" in out
+            assert "campaign" in out
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_report_empty_trace_fails(self, tmp_path, capsys):
         trace = tmp_path / "empty.trace.jsonl"
