@@ -1,19 +1,17 @@
 """Search engines and campaign orchestration.
 
-Baseline engines (random, grid) plus the :class:`SearchCampaign` runner
-that executes a *set* of searches as a strategy with the paper's
-parallel-wall-clock cost accounting.  Every engine — including the
-suggest-based samplers in :mod:`repro.search.samplers` (TPE,
-CMA-ES-lite, QMC) — is published through the :class:`BaseSampler`
-registry and selected by ``SearchSpec.engine`` name.
+The :class:`SearchCampaign` runner executes a *set* of searches as a
+strategy with the paper's parallel-wall-clock cost accounting.  Every
+engine — the baselines (random, grid, hill climbing, annealing) and the
+newer samplers (TPE, CMA-ES-lite, QMC) in :mod:`repro.search.samplers`
+as much as GP-BO — is published through the :class:`BaseSampler`
+registry and selected by ``SearchSpec.engine`` name; run one with
+:func:`run_search_spec`.
 """
 
 from .cache import MemoizingObjective, RetryingObjective, canonical_key
 from .evaluate import evaluate_config, schedule_makespan
 from .executor import CampaignExecutor, run_search_spec, spec_seed_sequences
-from .grid_search import GridSearch
-from .local_search import HillClimbing, SimulatedAnnealing
-from .random_search import RandomSearch
 from .result import CampaignResult, SearchResult
 from .runner import SearchCampaign, SearchSpec
 from .samplers import (
@@ -32,10 +30,6 @@ from .scalarize import Scalarization, ScalarizedObjective
 from .store import EvaluationStore, StoredEvaluation, space_fingerprint
 
 __all__ = [
-    "RandomSearch",
-    "GridSearch",
-    "HillClimbing",
-    "SimulatedAnnealing",
     "SearchResult",
     "CampaignResult",
     "SearchCampaign",

@@ -1,18 +1,11 @@
-"""Shared objective-evaluation and cost-accounting helpers.
-
-Random search, grid search, and the generic sampler driver all need the
-same three pieces of machinery around a raw objective call:
+"""Objective-evaluation and cost-accounting helpers of the search loop.
 
 * :func:`evaluate_config` — one evaluation with the full failure-capture
   protocol (exception classification, wallclock- vs simulated-timeout
   semantics, non-finite capture) producing an
   :class:`~repro.bo.history.Evaluation` record;
 * :func:`schedule_makespan` — the greedy list-scheduling makespan that
-  turns per-evaluation costs into the paper's parallel "Time" column;
-
-Before this module each engine carried its own near-identical copy; the
-semantics are pinned by the shared engine tests so they can never drift
-apart again.
+  turns per-evaluation costs into the paper's parallel "Time" column.
 """
 
 from __future__ import annotations

@@ -47,15 +47,17 @@ class SearchResult:
     name:
         Label of the (sub)search, e.g. ``"Group 3+4"``.
     engine:
-        ``"bo"``, ``"random"``, or ``"grid"``.
+        The engine label: ``"bo"`` for GP-BO, otherwise the registry
+        name (``"random"``, ``"grid"``, ``"tpe"``, ...).
     best_config:
         Best *full* configuration found (pinned values merged in).
     best_objective:
         Its objective value.
     search_time:
         Sequential wall-clock of this search (evaluation cost + modeling
-        overhead for BO; for random search, see
-        :class:`repro.search.RandomSearch` for the parallel discount).
+        overhead for BO; for parallel samplers such as random search,
+        see :class:`repro.search.SamplerSearch` for the parallel
+        discount).
     n_evaluations:
         Number of objective evaluations.
     database:

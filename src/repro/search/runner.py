@@ -47,7 +47,8 @@ class SearchSpec:
         per-routine objective (e.g. only Group 3+4's contribution); the
         joint strategy passes the full application.
     engine:
-        ``"bo"`` (default), ``"random"``, or ``"grid"``.
+        Registry name of the sampler: ``"bo"`` (default), ``"random"``,
+        ``"grid"``, ... (see :func:`repro.search.registered_samplers`).
     max_evaluations:
         Budget; ``None`` -> the paper's ``10 x dimensions``.
     engine_options:

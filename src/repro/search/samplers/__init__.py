@@ -4,19 +4,14 @@ Every search engine — the paper's GP-BO, the Table-III baselines, and
 the newer TPE / CMA-ES-lite / QMC samplers — is published through one
 :class:`BaseSampler` interface with a declared capability matrix, and
 the campaign executor dispatches ``SearchSpec.engine`` names purely
-through this registry.  See ``docs/samplers.md`` for the add-a-sampler
-quick start and ``tests/samplers/`` for the conformance gauntlet every
-registered sampler must pass.
+through this registry.  All of them except GP-BO and batch BO are
+suggest-only samplers run by the one :class:`SamplerSearch` loop.  See
+``docs/samplers.md`` for the add-a-sampler quick start and
+``tests/samplers/`` for the conformance gauntlet every registered
+sampler must pass.
 """
 
-from .adapters import (
-    AnnealSamplerAdapter,
-    BatchBOSamplerAdapter,
-    GPBOSamplerAdapter,
-    GridSamplerAdapter,
-    HillClimbSamplerAdapter,
-    RandomSamplerAdapter,
-)
+from .adapters import BatchBOSamplerAdapter, GPBOSamplerAdapter
 from .base import (
     BaseSampler,
     SamplerCapabilities,
@@ -27,6 +22,7 @@ from .base import (
     space_features,
     unsupported_features,
 )
+from .baselines import AnnealSampler, GridSampler, HillClimbSampler, RandomSampler
 from .cmaes import CmaEsLiteSampler
 from .driver import SamplerSearch
 from .qmc import QMCSampler
@@ -42,13 +38,13 @@ __all__ = [
     "canonical_engine_name",
     "space_features",
     "unsupported_features",
+    "RandomSampler",
+    "GridSampler",
+    "HillClimbSampler",
+    "AnnealSampler",
     "TPESampler",
     "CmaEsLiteSampler",
     "QMCSampler",
     "GPBOSamplerAdapter",
     "BatchBOSamplerAdapter",
-    "RandomSamplerAdapter",
-    "GridSamplerAdapter",
-    "HillClimbSamplerAdapter",
-    "AnnealSamplerAdapter",
 ]

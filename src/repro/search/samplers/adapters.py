@@ -1,21 +1,18 @@
-"""Adapters publishing the legacy engines through the sampler registry.
+"""Adapters publishing the BO engines through the sampler registry.
 
-The GP-BO, batch-BO, random, grid, and local-search engines predate the
+GP-BO and batch BO predate the
 :class:`~repro.search.samplers.base.BaseSampler` interface and run their
-own loops (surrogate refits, acquisition schedules, strided grid
-enumeration) rather than a suggest-per-iteration protocol.  Each adapter
-here overrides :meth:`run_search` to construct its engine **exactly** as
-the campaign executor's dispatch historically did — same constructor
-arguments, same seed handling, same result assembly — which is what
-keeps every existing GP-BO fingerprint and simulated Table-III
-cost-ledger number byte-for-byte unchanged across the refactor.
+own loops (surrogate refits, acquisition schedules) rather than a
+suggest-per-iteration protocol.  Each adapter here overrides
+:meth:`run_search` to construct its engine **exactly** as the campaign
+executor's dispatch historically did — same constructor arguments, same
+seed handling, same result assembly — which is what keeps every GP-BO
+fingerprint and simulated Table-III cost-ledger number byte-for-byte
+unchanged across the refactor.
 
-Their :meth:`suggest` implementations are real but deliberately modest:
-they provide the sampler's *one-more-candidate* behavior for interactive
-use and the conformance harness's interface checks (the grid adapter
-enumerates its strided grid by history index; the others draw a uniform
-feasible configuration, matching their engines' initial designs).  The
-authoritative execution path is ``run_search``.
+Their :meth:`suggest` is a uniform feasible draw (the engines' initial
+design), kept for interactive use and the conformance harness's
+interface checks.  The authoritative execution path is ``run_search``.
 """
 
 from __future__ import annotations
@@ -28,40 +25,7 @@ from ...bo.optimizer import BayesianOptimizer
 from ..result import SearchResult
 from .base import BaseSampler, SamplerCapabilities, register_sampler
 
-__all__ = [
-    "GPBOSamplerAdapter",
-    "BatchBOSamplerAdapter",
-    "RandomSamplerAdapter",
-    "GridSamplerAdapter",
-    "HillClimbSamplerAdapter",
-    "AnnealSamplerAdapter",
-]
-
-
-def _bo_result(spec, r, engine: str) -> SearchResult:
-    return SearchResult(
-        name=spec.space.name,
-        engine=engine,
-        best_config=r.best_config,
-        best_objective=r.best_objective,
-        search_time=r.search_time,
-        n_evaluations=r.n_evaluations,
-        database=r.database,
-        tuned_names=tuple(spec.space.names),
-        meta=dict(r.meta),
-    )
-
-
-def _common_kwargs(spec, database, tracer) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    if database is not None:
-        out["database"] = database
-    if tracer is not None:
-        out["tracer"] = tracer
-    if spec.quarantine_threshold is not None:
-        out["quarantine_threshold"] = spec.quarantine_threshold
-        out["quarantine_resolution"] = spec.quarantine_resolution
-    return out
+__all__ = ["GPBOSamplerAdapter", "BatchBOSamplerAdapter"]
 
 
 @register_sampler
@@ -78,6 +42,12 @@ class GPBOSamplerAdapter(BaseSampler):
         conditional=True,
         warm_start=True,
     )
+    #: ``SearchResult.engine`` label (historical ``"bo"``, not ``"gp-bo"``).
+    _label = "bo"
+
+    @staticmethod
+    def _optimizer():
+        return BayesianOptimizer
 
     def suggest(
         self, history: Sequence, space, rng: np.random.Generator
@@ -86,17 +56,36 @@ class GPBOSamplerAdapter(BaseSampler):
 
     @classmethod
     def run_search(cls, spec, seed, objective, database, tracer=None):
+        kwargs: dict[str, Any] = {}
+        if database is not None:
+            kwargs["database"] = database
+        if tracer is not None:
+            kwargs["tracer"] = tracer
+        if spec.quarantine_threshold is not None:
+            kwargs["quarantine_threshold"] = spec.quarantine_threshold
+            kwargs["quarantine_resolution"] = spec.quarantine_resolution
         pool = getattr(spec, "candidate_pool", None)
-        opt = BayesianOptimizer(
+        if pool is not None:
+            kwargs["candidate_pool"] = pool
+        r = cls._optimizer()(
             spec.space,
             objective,
             max_evaluations=spec.budget(),
             random_state=seed,
-            **_common_kwargs(spec, database, tracer),
-            **({"candidate_pool": pool} if pool is not None else {}),
+            **kwargs,
             **spec.engine_options,
+        ).run()
+        return SearchResult(
+            name=spec.space.name,
+            engine=cls._label,
+            best_config=r.best_config,
+            best_objective=r.best_objective,
+            search_time=r.search_time,
+            n_evaluations=r.n_evaluations,
+            database=r.database,
+            tuned_names=tuple(spec.space.names),
+            meta=dict(r.meta),
         )
-        return _bo_result(spec, opt.run(), "bo")
 
 
 @register_sampler
@@ -105,165 +94,10 @@ class BatchBOSamplerAdapter(GPBOSamplerAdapter):
 
     name = "batch-bo"
     aliases = ()
+    _label = "batch-bo"
 
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
+    @staticmethod
+    def _optimizer():
         from ...bo.batch import BatchBayesianOptimizer
 
-        pool = getattr(spec, "candidate_pool", None)
-        opt = BatchBayesianOptimizer(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            random_state=seed,
-            **_common_kwargs(spec, database, tracer),
-            **({"candidate_pool": pool} if pool is not None else {}),
-            **spec.engine_options,
-        )
-        return _bo_result(spec, opt.run(), "batch-bo")
-
-
-@register_sampler
-class RandomSamplerAdapter(BaseSampler):
-    """Uniform constrained random search (Table III baseline)."""
-
-    name = "random"
-    capabilities = SamplerCapabilities(
-        floats=True,
-        integers=True,
-        categorical=True,
-        multivariate=False,
-        conditional=True,
-        warm_start=False,
-    )
-
-    def suggest(
-        self, history: Sequence, space, rng: np.random.Generator
-    ) -> dict[str, Any]:
-        return space.sample(rng)
-
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
-        from ..random_search import RandomSearch
-
-        rs = RandomSearch(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            random_state=np.random.default_rng(seed),
-            **_common_kwargs(spec, database, tracer),
-            **spec.engine_options,
-        )
-        result = rs.run()
-        result.tuned_names = tuple(spec.space.names)
-        return result
-
-
-@register_sampler
-class GridSamplerAdapter(BaseSampler):
-    """Strided grid enumeration (Table III baseline; deterministic)."""
-
-    name = "grid"
-    capabilities = SamplerCapabilities(
-        floats=True,
-        integers=True,
-        categorical=True,
-        multivariate=False,
-        conditional=True,
-        warm_start=False,
-    )
-
-    def __init__(
-        self, points_per_axis: int = 4, max_points_per_discrete_axis: int = 32
-    ):
-        self.points_per_axis = points_per_axis
-        self.max_points_per_discrete_axis = max_points_per_discrete_axis
-
-    def suggest(
-        self, history: Sequence, space, rng: np.random.Generator
-    ) -> dict[str, Any]:
-        """The ``len(history)``-th feasible point of the strided grid."""
-        from ..grid_search import GridSearch
-
-        gs = GridSearch(
-            space,
-            objective=None,
-            points_per_axis=self.points_per_axis,
-            max_points_per_discrete_axis=self.max_points_per_discrete_axis,
-        )
-        want = len(history)
-        seen = 0
-        for cfg in gs._iter_grid():
-            if not self.candidate_is_valid(space, cfg):
-                continue
-            if seen == want:
-                return cfg
-            seen += 1
-        return space.sample(rng)  # grid exhausted: uniform tail
-
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
-        from ..grid_search import GridSearch
-
-        gs = GridSearch(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            **({"database": database} if database is not None else {}),
-            **({"tracer": tracer} if tracer is not None else {}),
-            **spec.engine_options,
-        )
-        result = gs.run()
-        result.tuned_names = tuple(spec.space.names)
-        return result
-
-
-@register_sampler
-class HillClimbSamplerAdapter(BaseSampler):
-    """Greedy neighborhood descent (local-search baseline)."""
-
-    name = "hillclimb"
-    capabilities = SamplerCapabilities(
-        floats=True,
-        integers=True,
-        categorical=True,
-        multivariate=False,
-        conditional=True,
-        warm_start=False,
-    )
-
-    _ENGINE_ATTR = "HillClimbing"
-
-    def suggest(
-        self, history: Sequence, space, rng: np.random.Generator
-    ) -> dict[str, Any]:
-        ok = [r for r in history if r.ok]
-        if not ok:
-            return space.sample(rng)
-        best = min(ok, key=lambda r: r.objective)
-        moves = space.neighbors(best.config)
-        if not moves:
-            return space.sample(rng)
-        return dict(moves[int(rng.integers(0, len(moves)))])
-
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
-        from .. import local_search
-
-        engine = getattr(local_search, cls._ENGINE_ATTR)
-        ls = engine(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            random_state=np.random.default_rng(seed),
-            **spec.engine_options,
-        )
-        return ls.run()
-
-
-@register_sampler
-class AnnealSamplerAdapter(HillClimbSamplerAdapter):
-    """Simulated annealing (local-search baseline)."""
-
-    name = "anneal"
-    _ENGINE_ATTR = "SimulatedAnnealing"
+        return BatchBayesianOptimizer

@@ -1,8 +1,9 @@
-"""The generic search loop that drives suggest-based samplers.
+"""The one search loop that drives every suggest-based sampler.
 
 :class:`SamplerSearch` gives every :meth:`BaseSampler.suggest`
-implementation the full robustness and determinism contract the legacy
-engines earn individually:
+implementation — the random, grid, hill-climbing and annealing
+baselines as much as TPE, CMA-ES-lite and QMC — the same robustness and
+determinism contract:
 
 * **Per-iteration seed streams** — iteration *i* (the proposal for
   database record *i*) draws from an RNG derived as
@@ -26,6 +27,10 @@ engines earn individually:
 * **Shared validity filter** — every proposal passes
   :meth:`BaseSampler.candidate_is_valid` (domains, constraints,
   conditional masking, breaker quarantine) before it is evaluated.
+* **Search-time accounting** — the paper's parallel "Time" column: the
+  greedy list-scheduling makespan of the evaluation costs, or their sum
+  for a :attr:`~BaseSampler.sequential` sampler whose every proposal
+  waits on the previous outcome (hill climbing, annealing).
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from ...bo.history import EvaluationDatabase
 from ...faults.breaker import CircuitBreaker, persist_breaker, restore_breaker
 from ...faults.taxonomy import failure_kind_of
 from ...log import get_logger
+from ...telemetry.core import config_hash
 from ..evaluate import evaluate_config, schedule_makespan
 from ..result import SearchResult
-from ..tracing import emit_eval
 from .base import BaseSampler, unsupported_features
 
 __all__ = ["SamplerSearch"]
@@ -49,7 +54,7 @@ __all__ = ["SamplerSearch"]
 logger = get_logger("search")
 
 #: Suggestion retries per iteration before falling back to uniform
-#: feasible sampling (mirrors the legacy engines' redraw budget).
+#: feasible sampling.
 _SUGGEST_RETRIES = 64
 
 
@@ -58,12 +63,43 @@ class SamplerSearch:
 
     Parameters
     ----------
-    space, objective, max_evaluations, parallelism, evaluation_timeout,
-    quarantine_threshold / quarantine_resolution, database, tracer:
-        As in :class:`~repro.search.random_search.RandomSearch`.
+    space, objective:
+        As in :class:`repro.bo.BayesianOptimizer`.
     sampler:
         The :class:`~repro.search.samplers.base.BaseSampler` providing
         proposals.
+    max_evaluations:
+        Number of configurations to evaluate (defaults to the paper's
+        ``10 x num_parameters``).  A sampler returning ``None`` ends the
+        search earlier.
+    parallelism:
+        Width of the simulated evaluation pool; search time is the length
+        of the critical path under greedy list scheduling (equal to
+        ``sum/parallelism`` when costs are uniform).  ``None`` means fully
+        parallel (one slot per evaluation).  Ignored for sequential
+        samplers.
+    evaluation_timeout:
+        *Simulated* kill switch: evaluations whose returned value exceeds
+        this budget are recorded TIMEOUT (``meta["timeout_kind"] =
+        "simulated"``).  A genuinely hanging objective is the watchdog's
+        job (wrap it in :class:`repro.faults.WatchdogObjective`, as the
+        campaign executor does for ``SearchSpec.wall_timeout``); the
+        watchdog's :class:`~repro.faults.EvaluationTimeoutError` is
+        recorded here as a ``"wallclock"`` TIMEOUT.  See
+        :mod:`repro.search.result` for the full semantics.
+    quarantine_threshold / quarantine_resolution:
+        Circuit breaker over space cells (see
+        :class:`repro.faults.CircuitBreaker`); after the threshold of
+        PERMANENT/NUMERIC failures in one cell, proposals landing there
+        are discarded and re-asked.  ``None`` disables.
+    database:
+        Optional (checkpointed) :class:`~repro.bo.EvaluationDatabase`;
+        records already present are replayed, not re-run.  ``None``
+        (default) starts a fresh in-memory database.
+    tracer:
+        Optional :class:`repro.telemetry.Tracer` (pure observer —
+        ``evaluation`` spans plus one ``eval`` event per database record,
+        replayed records included).  ``None`` (default) disables.
     random_state:
         Seed material: a :class:`numpy.random.SeedSequence` is used
         as-is (the campaign executor path); a Generator contributes one
@@ -151,6 +187,25 @@ class SamplerSearch:
         complete = getattr(self.space, "complete", None)
         return complete(config) if complete is not None else dict(config)
 
+    def _emit_eval(self, index: int, rec, best_seen: float | None) -> float | None:
+        """Emit record ``index``'s ``eval`` event; returns the updated
+        best-so-far over OK records (the event's ``best`` field)."""
+        if rec.ok and (best_seen is None or rec.objective < best_seen):
+            best_seen = float(rec.objective)
+        kind = failure_kind_of(rec)
+        extra = {"cache_hit": True} if rec.meta.get("cache_hit") else {}
+        self.tracer.eval_event(
+            index,
+            objective=float(rec.objective),
+            cost=float(rec.cost),
+            status=rec.status,
+            best=best_seen,
+            failure_kind=kind.value if kind is not None else None,
+            cfg_hash=config_hash(rec.config),
+            **extra,
+        )
+        return best_seen
+
     # ------------------------------------------------------------------
     def _suggest(self, index: int) -> dict[str, Any] | None:
         """One validated proposal for record ``index`` (or ``None``).
@@ -160,13 +215,16 @@ class SamplerSearch:
         filter are discarded and re-asked.  After the budget — or
         immediately, under capability fallback — uniform feasible
         sampling takes over, with the breaker's own redraw loop on top.
-        ``None`` once the reachable space appears fully quarantined.
+        ``None`` once the sampler reports itself exhausted or the
+        reachable space appears fully quarantined.
         """
         rng = self._iter_rng(index)
         history = self.database.records
         if not self._fallback_features:
             for _ in range(_SUGGEST_RETRIES):
                 cfg = self.sampler.suggest(history, self.space, rng)
+                if cfg is None:
+                    return None
                 if self.sampler.candidate_is_valid(self.space, cfg, self.breaker):
                     return cfg
                 if self.breaker is not None and self.space.is_valid(cfg):
@@ -197,14 +255,16 @@ class SamplerSearch:
             )
             warnings.warn(msg, UserWarning, stacklevel=2)
             logger.warning(msg)
-        self.sampler.prepare(self.space, self._stream(0))
+        self.sampler.prepare(
+            self.space, self._stream(0), self.max_evaluations
+        )
         best_seen: float | None = None
         if self.tracer is not None:
             # Re-emit eval events for replayed records (resume support):
             # the sink dedups by database index, so the persisted stream
             # matches an uninterrupted run byte-for-byte.
             for i, rec in enumerate(self.database):
-                best_seen = emit_eval(self.tracer, i, rec, best_seen)
+                best_seen = self._emit_eval(i, rec, best_seen)
         if self.breaker is not None:
             # Resume support: restore the persisted sidecar when one
             # exists; otherwise replay checkpointed failure kinds.
@@ -237,14 +297,18 @@ class SamplerSearch:
                     persist_breaker(self.breaker, self.database.path)
             self.database.append(rec)
             if self.tracer is not None:
-                best_seen = emit_eval(
-                    self.tracer, len(self.database) - 1, rec, best_seen
+                best_seen = self._emit_eval(
+                    len(self.database) - 1, rec, best_seen
                 )
-        costs = np.array([r.cost for r in self.database], dtype=float)
-        slots = (
-            self.parallelism if self.parallelism is not None
-            else max(1, costs.size)
-        )
+        if self.sampler.sequential:
+            search_time = self.database.total_cost()
+        else:
+            costs = np.array([r.cost for r in self.database], dtype=float)
+            slots = (
+                self.parallelism if self.parallelism is not None
+                else max(1, costs.size)
+            )
+            search_time = schedule_makespan(costs, slots)
         best = self.database.best()
         meta: dict[str, Any] = {"sampler": self.sampler.name}
         if self._fallback_features:
@@ -264,7 +328,7 @@ class SamplerSearch:
             engine=self.sampler.name,
             best_config=dict(best.config),
             best_objective=best.objective,
-            search_time=schedule_makespan(costs, slots),
+            search_time=search_time,
             n_evaluations=len(self.database),
             database=self.database,
             meta=meta,

@@ -117,12 +117,15 @@ class QMCSampler(BaseSampler):
         self._dim: int | None = None
 
     # ------------------------------------------------------------------
-    def prepare(self, space, seed_seq: np.random.SeedSequence) -> None:
+    def prepare(
+        self, space, seed_seq: np.random.SeedSequence, budget: int = 0
+    ) -> None:
         """Fix the scramble from the run-stable stream.
 
         Called once per run *and* once per resume with the same seed
         material, so the scrambled sequence — and therefore every
-        proposal — is identical across a kill-and-resume boundary.
+        proposal — is identical across a kill-and-resume boundary.  The
+        budget is ignored: point *i* does not depend on how many follow.
         """
         rng = np.random.default_rng(seed_seq)
         self._dim = space.dimension

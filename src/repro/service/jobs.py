@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -47,6 +48,10 @@ FENCE_NAME = "fence.json"
 RESULT_NAME = "result.json"
 ERROR_NAME = "error.json"
 JOB_KINDS = ("campaign", "methodology")
+
+#: A job id names the job's workdir under the service's jobs directory,
+#: so it must be a plain file name: no separators, no ``.``/``..``.
+_JOB_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
 
 class LeaseFencedError(BaseException):
@@ -167,6 +172,15 @@ class JobSpec:
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
             raise ValueError(f"kind must be one of {JOB_KINDS}, got {self.kind!r}")
+        if self.job_id is not None and (
+            not isinstance(self.job_id, str)
+            or not _JOB_ID.fullmatch(self.job_id)
+            or self.job_id in (".", "..")
+        ):
+            raise ValueError(
+                "job_id must be 1-64 characters of [A-Za-z0-9._-] and not "
+                f"'.' or '..', got {self.job_id!r}"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -2,7 +2,7 @@
 
 Routes::
 
-    POST /jobs               {"kind", "tenant", "params"} -> 201 + record
+    POST /jobs               {"kind", "tenant", "params", "job_id"?} -> 201 + record
     GET  /jobs               -> {"jobs": [summaries...]}; ?tenant= ?state=
     GET  /jobs/<id>          -> full record (incl. result when done)
     POST /jobs/<id>/cancel   -> updated record
@@ -18,6 +18,10 @@ cannot set headers) resumes exactly after the last frame it saw — no
 gaps, no duplicates, no torn lines (the bus only ever publishes whole
 trace lines).  ``?max_events=N`` bounds a stream (tests) and
 ``?keepalive=SECONDS`` tunes the comment-ping cadence.
+
+Request bodies are capped at :data:`MAX_BODY_BYTES` (413 above it; a
+malformed ``Content-Length`` is 400), and a client-chosen ``job_id``
+must be a plain file name (400 otherwise, 409 if already taken).
 
 Shed submissions map to honest HTTP status codes — ``queue_full`` and
 ``tenant_quota`` are 429, ``tenant_quarantined`` 403, ``draining`` 503 —
@@ -51,10 +55,11 @@ from .admission import (
     REASON_TENANT_QUOTA,
 )
 from .jobs import JobSpec
-from .registry import JobRecord, JobState
+from .registry import JobRecord, JobState, RegistryError
 from .supervisor import Supervisor
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "ServiceServer",
     "ServiceClientError",
     "submit_job",
@@ -67,6 +72,10 @@ __all__ = [
 ]
 
 logger = get_logger("service")
+
+#: Largest request body read, in bytes (a job spec is a few hundred).
+MAX_BODY_BYTES = 1 << 20
+
 
 #: Admission reason -> HTTP status for shed submissions.
 _REJECT_STATUS = {
@@ -115,13 +124,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
+        """The body as a JSON object (``{}`` if it is not one), or
+        ``None`` after replying 400/413 to a malformed or oversized
+        ``Content-Length``."""
+        header = self.headers.get("Content-Length", "0")
         try:
-            data = json.loads(raw or b"{}")
-        except json.JSONDecodeError:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, which would poison a kept-alive
+            # connection: close it after the reply.
+            self.close_connection = True
+            if length < 0:
+                error = (400, f"malformed Content-Length {header!r}")
+            else:
+                error = (413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            self._send(error[0], {"error": error[1]})
             return None
-        return data if isinstance(data, dict) else None
+        try:
+            data = json.loads(self.rfile.read(length) or b"{}")
+        except json.JSONDecodeError:
+            return {}
+        return data if isinstance(data, dict) else {}
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
@@ -259,19 +284,26 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         if parts == ["jobs"]:
             data = self._read_json()
-            if data is None or "kind" not in data:
+            if data is None:
+                return
+            if "kind" not in data:
                 self._send(400, {"error": "body must be JSON with a 'kind'"})
                 return
             try:
                 spec = JobSpec(
                     kind=data["kind"],
+                    job_id=data.get("job_id"),
                     tenant=data.get("tenant", "default"),
                     params=dict(data.get("params", {})),
                 )
             except ValueError as exc:
                 self._send(400, {"error": str(exc)})
                 return
-            rec, decision = self.supervisor.submit(spec)
+            try:
+                rec, decision = self.supervisor.submit(spec)
+            except RegistryError as exc:
+                self._send(409, {"error": str(exc)})
+                return
             if decision.admitted:
                 self._send(201, _record_payload(rec))
             else:

@@ -212,7 +212,12 @@ class TraceReport:
                 )
             )
             if not series:
-                lines.append("  (no successful evaluations)")
+                # Phase-1 eval events carry no running best, so a scope
+                # can succeed throughout and still have no series.
+                lines.append(
+                    "  (no successful evaluations)" if not counts.get("ok")
+                    else "  (no best-so-far series recorded)"
+                )
                 continue
             lo, hi = min(series), max(series)
             span = hi - lo

@@ -62,10 +62,12 @@ class TestWatchdogObjective:
 class TestWatchdogInCampaign:
     def test_hangs_recorded_as_wallclock_timeouts_in_checkpoint(self, tmp_path):
         space = SearchSpace([Real("a", 0.0, 1.0)], name="W")
+        # The grid (a = 0, 1/3, 2/3, 1) samples both halves of the space
+        # by construction, whatever the seed.
         spec = SearchSpec(
             space,
             HangAbove(0.5),
-            engine="random",
+            engine="grid",
             max_evaluations=6,
             wall_timeout=0.3,
         )

@@ -31,29 +31,22 @@ from repro.space import (
     SearchSpace,
 )
 
-#: Engines that must pass the full gauntlet.  The local-search engines
-#: (hillclimb, anneal) are registered but excluded: they predate the
-#: checkpoint protocol (no evaluation database), so the resume and
-#: memoization invariants do not apply to them.
+#: Engines that must pass the full gauntlet: every registered sampler.
 GAUNTLET_ENGINES = (
     "gp-bo",
     "batch-bo",
     "random",
     "grid",
+    "hillclimb",
+    "anneal",
     "tpe",
     "cma-es-lite",
     "qmc",
 )
 
-#: Sanity guard: the gauntlet must cover every registered sampler except
-#: the explicitly exempted local-search engines.
-EXEMPT_ENGINES = ("hillclimb", "anneal")
-
 
 def gauntlet_covers_registry() -> bool:
-    return set(GAUNTLET_ENGINES) | set(EXEMPT_ENGINES) == set(
-        registered_samplers()
-    )
+    return set(GAUNTLET_ENGINES) == set(registered_samplers())
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The conformance gauntlet: every registered sampler, same invariants.
 
 Each test class is one invariant; each is parametrized over
-:data:`~tests.samplers.conformance.GAUNTLET_ENGINES` (all seven
-engines) and over seeds — seed 0 always runs, the extra seeds ride in
+:data:`~tests.samplers.conformance.GAUNTLET_ENGINES` (every registered
+engine) and over seeds — seed 0 always runs, the extra seeds ride in
 the CI ``sampler-conformance`` job via the ``slow`` marker.
 """
 
@@ -12,7 +12,6 @@ from repro.bo import EvaluationDatabase
 from repro.search import SearchCampaign, SearchSpec
 
 from .conformance import (
-    EXEMPT_ENGINES,
     GAUNTLET_ENGINES,
     Bowl,
     KillAfter,
@@ -33,11 +32,10 @@ SEEDS = [0, pytest.param(1, marks=pytest.mark.slow),
 
 
 def test_gauntlet_covers_every_registered_sampler():
-    """A new sampler must opt into the gauntlet (or be exempted here)."""
+    """A new sampler must opt into the gauntlet."""
     assert gauntlet_covers_registry(), (
-        "registered samplers changed: update GAUNTLET_ENGINES (preferred) "
-        f"or EXEMPT_ENGINES in tests/samplers/conformance.py "
-        f"(exempt: {EXEMPT_ENGINES})"
+        "registered samplers changed: update GAUNTLET_ENGINES in "
+        "tests/samplers/conformance.py"
     )
 
 

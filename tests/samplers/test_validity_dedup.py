@@ -1,15 +1,15 @@
 """The shared candidate-validity filter, pinned across engines.
 
-Grid search, random search, and the generic sampler driver used to each
-re-implement "may this configuration be evaluated?".  The filter now has
-exactly one definition — :meth:`BaseSampler.candidate_is_valid` — and
-these tests pin both halves of the dedup:
+"May this configuration be evaluated?" has exactly one definition —
+:meth:`BaseSampler.candidate_is_valid` — and these tests pin both halves
+of it:
 
 * the *semantics*: in-domain + constraints + conditional masking via
   ``space.is_valid``, plus an optional circuit-breaker veto;
 * the *routing*: monkeypatching the shared filter changes what grid
-  search, random search, and driver-based samplers will evaluate, which
-  fails loudly if any engine regrows a private copy of the check.
+  search, random search, and the other driver-based samplers will
+  evaluate, which fails loudly if any engine regrows a private copy of
+  the check.
 """
 
 import numpy as np
@@ -17,11 +17,9 @@ import pytest
 
 from repro.faults import CircuitBreaker
 from repro.faults.taxonomy import FailureKind
-from repro.search.grid_search import GridSearch
-from repro.search.random_search import RandomSearch
 from repro.search.samplers.base import BaseSampler
 
-from .conformance import Bowl, conditional_space, numeric_space
+from .conformance import conditional_space, make_spec, numeric_space, run_once
 
 
 class TestFilterSemantics:
@@ -77,20 +75,13 @@ class TestRoutingIsShared:
 
     def test_random_search_routes_through_shared_filter(self, monkeypatch):
         calls = _veto_large_x(monkeypatch)
-        rs = RandomSearch(
-            numeric_space(),
-            Bowl(),
-            max_evaluations=10,
-            random_state=np.random.default_rng(0),
-        )
-        result = rs.run()
+        result = run_once(make_spec("random", numeric_space(), budget=10), 0)
         assert calls, "random search bypassed the shared validity filter"
         assert all(rec.config["x"] <= 0.5 for rec in result.database)
 
     def test_grid_search_routes_through_shared_filter(self, monkeypatch):
         calls = _veto_large_x(monkeypatch)
-        gs = GridSearch(numeric_space(), Bowl(), max_evaluations=10)
-        result = gs.run()
+        result = run_once(make_spec("grid", numeric_space(), budget=10), 0)
         assert calls, "grid search bypassed the shared validity filter"
         assert len(result.database) > 0
         assert all(rec.config["x"] <= 0.5 for rec in result.database)
@@ -99,8 +90,6 @@ class TestRoutingIsShared:
     def test_driver_samplers_route_through_shared_filter(
         self, monkeypatch, engine
     ):
-        from .conformance import make_spec, run_once
-
         calls = _veto_large_x(monkeypatch)
         result = run_once(make_spec(engine, numeric_space(), budget=8), 0)
         assert calls, f"{engine} bypassed the shared validity filter"

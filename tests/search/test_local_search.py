@@ -1,9 +1,11 @@
-"""Tests for the local-search baselines."""
+"""Tests for the local-search baselines (``engine="hillclimb"`` / ``"anneal"``)."""
 
 import numpy as np
 import pytest
 
-from repro.search import HillClimbing, RandomSearch, SimulatedAnnealing
+from repro.bo import EvaluationDatabase
+from repro.search import SamplerSearch, SearchCampaign, SearchSpec, run_search_spec
+from repro.search.samplers import AnnealSampler, HillClimbSampler
 from repro.space import ExpressionConstraint, Integer, Ordinal, SearchSpace
 
 
@@ -17,16 +19,21 @@ def bowl(c):
     return (c["x"] - 13) ** 2 + (c["y"] - 6) ** 2 + 1.0
 
 
+def run(engine, sp, obj, budget, seed, **options):
+    spec = SearchSpec(
+        sp, obj, engine=engine, max_evaluations=budget, engine_options=options
+    )
+    return run_search_spec(spec, np.random.SeedSequence(seed))
+
+
 class TestHillClimbing:
     def test_descends_to_optimum(self):
-        r = HillClimbing(discrete_space(), bowl, max_evaluations=150,
-                         random_state=0).run()
+        r = run("hillclimb", discrete_space(), bowl, 150, 0)
         assert r.best_objective == pytest.approx(1.0)
         assert r.best_config["x"] == 13 and r.best_config["y"] == 6
 
     def test_budget_respected(self):
-        r = HillClimbing(discrete_space(), bowl, max_evaluations=37,
-                         random_state=0).run()
+        r = run("hillclimb", discrete_space(), bowl, 37, 0)
         assert r.n_evaluations <= 37 + 4  # may finish the neighbor scan
 
     def test_restarts_escape_local_minima(self):
@@ -37,8 +44,7 @@ class TestHillClimbing:
             b = (c["x"] - 17) ** 2 + (c["y"] - 17) ** 2 + 1.0
             return min(a, b)
 
-        r = HillClimbing(discrete_space(), two_basins, max_evaluations=400,
-                         random_state=1).run()
+        r = run("hillclimb", discrete_space(), two_basins, 400, 1)
         assert r.best_objective == pytest.approx(1.0)
 
     def test_respects_constraints(self):
@@ -46,7 +52,7 @@ class TestHillClimbing:
             [Integer("x", 0, 20), Integer("y", 0, 20)],
             [ExpressionConstraint("x + y <= 20")],
         )
-        r = HillClimbing(sp, bowl, max_evaluations=120, random_state=0).run()
+        r = run("hillclimb", sp, bowl, 120, 0)
         for rec in r.database:
             assert rec.config["x"] + rec.config["y"] <= 20
 
@@ -56,46 +62,95 @@ class TestHillClimbing:
                 raise RuntimeError("boom")
             return bowl(c)
 
-        r = HillClimbing(discrete_space(), flaky, max_evaluations=120,
-                         random_state=0).run()
+        r = run("hillclimb", discrete_space(), flaky, 120, 0)
         assert r.best_config["x"] != 10
+
+    def test_search_time_is_sequential_sum(self):
+        r = run("hillclimb", discrete_space(), bowl, 60, 0, parallelism=4)
+        assert r.search_time == r.database.total_cost()
+
+    def test_pinned_subspace_walks_kept_parameters(self):
+        full = SearchSpace(
+            [Integer("x", 0, 20), Integer("y", 0, 20), Integer("z", 0, 3)]
+        )
+        sub = full.subspace(["x", "y"], pinned={"z": 2}, name="xy")
+        r = run("hillclimb", sub, bowl, 150, 0)
+        assert r.best_objective == pytest.approx(1.0)
+        assert all(rec.config["z"] == 2 for rec in r.database)
 
 
 class TestSimulatedAnnealing:
     def test_finds_optimum_on_bowl(self):
-        r = SimulatedAnnealing(discrete_space(), bowl, max_evaluations=400,
-                               random_state=0).run()
+        r = run("anneal", discrete_space(), bowl, 400, 0)
         assert r.best_objective <= 3.0  # near the basin floor
 
     def test_beats_or_matches_random(self):
         sa_best, rs_best = [], []
         for seed in range(3):
-            sa = SimulatedAnnealing(discrete_space(), bowl,
-                                    max_evaluations=150, random_state=seed).run()
-            rs = RandomSearch(discrete_space(), bowl, max_evaluations=150,
-                              random_state=seed).run()
+            sa = run("anneal", discrete_space(), bowl, 150, seed)
+            rs = run("random", discrete_space(), bowl, 150, seed)
             sa_best.append(sa.best_objective)
             rs_best.append(rs.best_objective)
         assert np.mean(sa_best) <= np.mean(rs_best) + 1.0
 
     def test_temperature_schedule(self):
-        sa = SimulatedAnnealing(discrete_space(), bowl, max_evaluations=100,
-                                t_initial=1.0, t_final=0.01, random_state=0)
-        assert sa._temperature(0) == pytest.approx(1.0)
-        assert sa._temperature(99) == pytest.approx(0.01)
-        assert sa._temperature(50) < sa._temperature(10)
+        sa = AnnealSampler(t_initial=1.0, t_final=0.01)
+        sa.prepare(discrete_space(), np.random.SeedSequence(0), 100)
+        assert sa.temperature(0) == pytest.approx(1.0)
+        assert sa.temperature(99) == pytest.approx(0.01)
+        assert sa.temperature(50) < sa.temperature(10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimulatedAnnealing(discrete_space(), bowl, t_initial=0.0)
+            AnnealSampler(t_initial=0.0)
         with pytest.raises(ValueError):
-            SimulatedAnnealing(discrete_space(), bowl,
-                               t_initial=0.1, t_final=0.5)
+            AnnealSampler(t_initial=0.1, t_final=0.5)
         with pytest.raises(ValueError):
-            HillClimbing(discrete_space(), bowl, max_evaluations=0)
+            SamplerSearch(discrete_space(), bowl, HillClimbSampler(),
+                          max_evaluations=0)
 
     def test_ordinal_space(self):
         sp = SearchSpace([Ordinal("u", [1, 2, 4, 8, 16])], name="ord")
-        r = SimulatedAnnealing(sp, lambda c: abs(c["u"] - 8) + 1.0,
-                               max_evaluations=40, random_state=0).run()
+        r = run("anneal", sp, lambda c: abs(c["u"] - 8) + 1.0, 40, 0)
         assert r.best_config["u"] == 8
+
+
+class _KillAfter:
+    """Raises ``KeyboardInterrupt`` after ``n_calls`` evaluations."""
+
+    def __init__(self, n_calls):
+        self.n_calls = n_calls
+        self.calls = 0
+
+    def __call__(self, cfg):
+        self.calls += 1
+        if self.calls > self.n_calls:
+            raise KeyboardInterrupt
+        return bowl(cfg)
+
+
+class TestCheckpointResume:
+    def test_hillclimb_campaign_checkpoints_and_resumes(self, tmp_path):
+        """A hill-climbing member writes its JSONL checkpoint under the
+        campaign's ``checkpoint_dir`` and resumes bit-identically."""
+
+        def campaign(objective, ck=None):
+            spec = SearchSpec(discrete_space(), objective, engine="hillclimb",
+                              max_evaluations=60)
+            return SearchCampaign([spec], random_state=5,
+                                  checkpoint_dir=ck).run()
+
+        def key(result):
+            return [(r.config, r.objective, r.cost, str(r.status))
+                    for r in result.searches[0].database]
+
+        whole = campaign(bowl)
+        ck = tmp_path / "ck"
+        with pytest.raises(KeyboardInterrupt):
+            campaign(_KillAfter(25), ck)
+        files = list(ck.glob("*.jsonl"))
+        assert len(files) == 1
+        assert len(EvaluationDatabase(files[0])) == 25
+        resumed = campaign(bowl, ck)
+        assert key(resumed) == key(whole)
+        assert resumed.searches[0].search_time == whole.searches[0].search_time

@@ -151,3 +151,79 @@ class TestShedding:
         states = [j["state"] for j in list_jobs(static_service.url)]
         assert states.count(JobState.REJECTED) == 1
         assert states.count(JobState.QUEUED) == 2
+
+
+def _raw_post(url, headers, body=b""):
+    """POST /jobs with hand-set headers; returns (status, json body)."""
+    import http.client
+    import json
+    import urllib.parse
+
+    parsed = urllib.parse.urlparse(url)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/jobs")
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read() or b"{}")
+    finally:
+        conn.close()
+
+
+class TestRequestValidation:
+    def test_job_id_path_traversal_rejected(self):
+        for bad in ("../../etc/x", "..", ".", "a/b", "", "x" * 65, 7):
+            with pytest.raises(ValueError, match="job_id"):
+                JobSpec.from_dict({"kind": "campaign", "job_id": bad})
+        assert JobSpec(kind="campaign", job_id="run-1.a_B").job_id == "run-1.a_B"
+
+    def test_post_with_traversal_job_id_is_400(self, static_service, tmp_path):
+        from repro.service.server import _request
+
+        with pytest.raises(ServiceClientError) as err:
+            _request(
+                f"{static_service.url}/jobs", method="POST",
+                payload={"kind": "campaign", "job_id": "../../etc/x"},
+            )
+        assert err.value.status == 400
+        assert list_jobs(static_service.url) == []
+        assert not (tmp_path / "etc").exists()
+
+    def test_client_job_id_kept_and_duplicate_is_409(self, static_service):
+        from repro.service.server import _request
+
+        payload = {"kind": "campaign", "job_id": "mine-1", "params": FAST}
+        rec = _request(f"{static_service.url}/jobs", method="POST",
+                       payload=payload)
+        assert rec["job_id"] == "mine-1"
+        with pytest.raises(ServiceClientError) as err:
+            _request(f"{static_service.url}/jobs", method="POST",
+                     payload=payload)
+        assert err.value.status == 409
+
+    def test_malformed_content_length_is_400(self, static_service):
+        status, body = _raw_post(
+            static_service.url,
+            {"Content-Type": "application/json", "Content-Length": "ten"},
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        status, _ = _raw_post(static_service.url, {"Content-Length": "-5"})
+        assert status == 400
+
+    def test_oversized_body_is_413_without_reading_it(self, static_service):
+        from repro.service.server import MAX_BODY_BYTES
+
+        status, body = _raw_post(
+            static_service.url,
+            {"Content-Type": "application/json",
+             "Content-Length": str(MAX_BODY_BYTES + 1)},
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        # The server stays healthy for the next client.
+        assert health(static_service.url)["status"] == "ok"

@@ -197,3 +197,39 @@ class TestMethodologySpans:
         # Every member search emitted eval events under its own scope.
         scopes = TraceReport(sink.events).scopes()
         assert scopes and all("/" in s for s in scopes)
+
+
+class TestPhase1Progression:
+    def test_successful_phase1_scope_is_not_reported_as_failed(self):
+        """Phase-1 eval events carry no running best; a scope whose runs
+        all succeeded must not read "no successful evaluations"."""
+        from repro.core import Routine, RoutineSet
+        from repro.insights import Phase1Evaluator, SensitivityAnalysis
+
+        sink = MemorySink()
+        tel = Telemetry([sink], clock=NullClock())
+        sa = SensitivityAnalysis.from_routines(
+            space(["x", "y"], "p1"),
+            RoutineSet([Routine("A", ("x",), Quad(0.2)),
+                        Routine("B", ("y",), Quad(0.6))]),
+            n_variations=4, random_state=SEED,
+        )
+        sa.run(evaluator=Phase1Evaluator(telemetry=tel))
+        report = TraceReport(sink.events)
+        (scope,) = report.scopes()
+        assert scope.startswith("phase1/")
+        assert report.evaluation_counts(scope) == {"ok": 9}
+        text = report.format_progression()
+        assert f"{scope}: 9 evaluations" in text
+        assert "no successful evaluations" not in text
+        assert "(no best-so-far series recorded)" in text
+
+    def test_all_failed_scope_still_says_no_successful_evaluations(self):
+        events = [
+            {"kind": "eval", "scope": "s", "seq": i, "objective": None,
+             "cost": 0.0, "status": "failed", "best": None}
+            for i in range(3)
+        ]
+        text = TraceReport(events).format_progression()
+        assert "s: 3 evaluations (3 failed/timeout)" in text
+        assert "(no successful evaluations)" in text
