@@ -6,7 +6,14 @@ Implements exact GP regression with
   that joint high-dimensional searches with many evaluations become
   expensive ("the training complexity of Gaussian Processes ... is O(N^3)"),
 * marginal-likelihood (MLE) hyperparameter fitting via multi-start L-BFGS-B
-  with analytic gradients,
+  with analytic gradients.  At the N <= 100 sizes a tuning campaign
+  reaches, one likelihood call costs per-call overhead rather than flops,
+  so each call builds ``K`` and its ``dK/dtheta`` stack in one kernel pass
+  (into a stack buffer allocated once per fit) and calls LAPACK
+  ``dpotrf``/``dpotrs`` directly: the same routines on the same operands
+  as the scipy wrappers, so the value, the gradient and hence the
+  L-BFGS-B path are bit-for-bit what the wrappers give
+  (``tests/bo/test_mle_equivalence.py``),
 * output normalization (zero mean / unit variance in y) so acquisition
   functions operate on a standardized scale,
 * an optional fixed *prior mean function*, which is how transfer learning
@@ -34,8 +41,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
+from ..telemetry.core import NULL_TRACER
 from .kernels import Kernel, Matern52
 
 __all__ = ["GaussianProcess", "GPFitError"]
@@ -170,10 +179,15 @@ class GaussianProcess:
             return y - np.asarray(self.mean_function(X), dtype=float).reshape(-1)
         return y
 
-    def fit(self, X: np.ndarray, y: np.ndarray, *, optimize: bool = True) -> "GaussianProcess":
+    def fit(
+        self, X: np.ndarray, y: np.ndarray, *, optimize: bool = True, tracer=None
+    ) -> "GaussianProcess":
         """Fit the GP to data, optionally optimizing hyperparameters.
 
         ``X`` must be ``(n, d)`` in the unit cube; ``y`` is ``(n,)``.
+        An optional :class:`repro.telemetry.Tracer` receives an ``mle``
+        span (attributes ``starts``, ``nfev``) when the hyperparameters
+        are optimized, and a ``factorize`` span.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -184,19 +198,29 @@ class GaussianProcess:
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise GPFitError("non-finite values in training data")
 
-        self._X = X
-        self._y_raw = y.copy()
+        self._set_data(X, y.copy())
         self._K = None  # new data invalidates the cached train covariance
-        self._refresh_targets()
 
+        tracer = NULL_TRACER if tracer is None else tracer
         if optimize and X.shape[0] >= 2:
-            self._optimize_hyperparameters()
-        self._factorize()
+            with tracer.span("mle") as sp:
+                sp.attrs["starts"], sp.attrs["nfev"] = (
+                    self._optimize_hyperparameters()
+                )
+        with tracer.span("factorize"):
+            self._factorize()
         return self
 
-    def _refresh_targets(self) -> None:
-        """Recompute normalization and normalized residual targets."""
-        resid = self._residual_targets(self._X, self._y_raw)
+    def _set_data(self, X: np.ndarray, y_raw: np.ndarray) -> None:
+        """Install the training set and its normalized residual targets.
+
+        Raises :class:`GPFitError`, leaving the model untouched, when the
+        prior mean makes a residual target non-finite.
+        """
+        resid = self._residual_targets(X, y_raw)
+        if not np.all(np.isfinite(resid)):
+            raise GPFitError("prior mean function returned non-finite values")
+        self._X, self._y_raw = X, y_raw
         if self.normalize_y:
             self._y_mean = float(np.mean(resid))
             std = float(np.std(resid))
@@ -244,6 +268,8 @@ class GaussianProcess:
             raise GPFitError("non-finite values in update data")
 
         n, q = self._X.shape[0], X_new.shape[0]
+        X_all = np.vstack([self._X, X_new])
+        y_all = np.append(self._y_raw, y_new)
         K12 = self.kernel(self._X, X_new)  # (n, q) cross-block
         K22 = self.kernel(X_new)  # (q, q)
         L12 = solve_triangular(self._L, K12, lower=True)  # (n, q)
@@ -257,12 +283,12 @@ class GaussianProcess:
             # Numerical breakdown: absorb the rows as plain data and
             # refactorize from scratch (all-or-nothing — no partially
             # extended factor is ever left behind).
-            self._X = np.vstack([self._X, X_new])
-            self._y_raw = np.append(self._y_raw, y_new)
+            self._set_data(X_all, y_all)
             self._K = None
-            self._refresh_targets()
             self._factorize()  # resets caches, mode, and chain length
             return self
+
+        self._set_data(X_all, y_all)
 
         # Extend the cached noise-free covariance in O(N q d).
         if self._K is not None and self._K.shape[0] == n:
@@ -277,10 +303,6 @@ class GaussianProcess:
         L_ext[n:, :n] = L12.T
         L_ext[n:, n:] = L22
         self._L = L_ext
-        self._X = np.vstack([self._X, X_new])
-        self._y_raw = np.append(self._y_raw, y_new)
-
-        self._refresh_targets()
         self._alpha = cho_solve((self._L, True), self._y)
         self.last_fit_mode = "incremental"
         self.n_incremental += q
@@ -305,32 +327,43 @@ class GaussianProcess:
             b = b + [(np.log(1e-8), np.log(1.0))]
         return b
 
-    def _neg_log_marginal_likelihood(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def _neg_log_marginal_likelihood(
+        self, theta: np.ndarray, work: tuple | None = None
+    ) -> tuple[float, np.ndarray]:
         """NLML and its gradient w.r.t. the full log-hyperparameter vector.
 
         Gradient uses the standard trace identity
-        ``dNLL/dt = -0.5 tr((aa^T - K^{-1}) dK/dt)`` with the kernels'
-        analytic ``dK/dtheta`` stacks (:meth:`Kernel.theta_gradients`) —
-        fully vectorized, no finite differences.
+        ``dNLL/dt = -0.5 tr((aa^T - K^{-1}) dK/dt)`` with the kernel's
+        analytic ``dK/dtheta`` stack, built in the same distance pass as
+        ``K`` (:meth:`Kernel.gram_and_gradients`) — no finite differences.
+        ``work`` is the ``(stack buffer, identity)`` pair
+        :meth:`_optimize_hyperparameters` allocates once per fit.
+
+        LAPACK ``dpotrf``/``dpotrs`` are called directly: they are the
+        routines ``scipy.linalg.cholesky``/``cho_solve`` run, on the same
+        operands, minus the wrappers' finite checks and batch dispatch
+        (training data and targets are validated finite on entry).  The
+        result is bit-for-bit the wrappers' result; so is the explicit
+        ``K^{-1}`` — a ``dpotri`` inverse or a trace identity that never
+        forms it would change the bits (and ``dpotri`` is slower here).
         """
         self._set_theta_full(theta)
         X, y = self._X, self._y
         n = X.shape[0]
-        K = self.kernel(X)
-        K[np.diag_indices_from(K)] += self.noise + 1e-10
-        try:
-            L = cholesky(K, lower=True)
-        except np.linalg.LinAlgError:
+        buf, eye = work if work is not None else (None, np.eye(n))
+        K, dK = self.kernel.gram_and_gradients(X, out=buf)  # dK: (n_hyp, n, n)
+        K.flat[:: n + 1] += self.noise + 1e-10
+        L, info = dpotrf(K, lower=True, clean=True)
+        if info != 0:
             return 1e25, np.zeros_like(theta)
-        alpha = cho_solve((L, True), y)
+        alpha, _ = dpotrs(L, y, lower=True)
         nll = 0.5 * (y @ alpha) + np.sum(np.log(np.diag(L))) + 0.5 * n * _LOG_2PI
 
         # Gradient: dNLL/dt = -0.5 tr((alpha alpha^T - K^{-1}) dK/dt)
-        Kinv = cho_solve((L, True), np.eye(n))
+        Kinv, _ = dpotrs(L, eye, lower=True)
         W = np.outer(alpha, alpha) - Kinv  # (n, n)
 
         grads = np.empty_like(theta)
-        dK = self.kernel.theta_gradients(X)  # (n_hyp, n, n)
         k_hyp = self.kernel.n_hyperparameters
         grads[:k_hyp] = -0.5 * np.tensordot(dK, W, axes=([1, 2], [0, 1]))
         if self.optimize_noise:
@@ -338,7 +371,8 @@ class GaussianProcess:
             grads[k_hyp] = -0.5 * self.noise * np.trace(W)
         return float(nll), grads
 
-    def _optimize_hyperparameters(self) -> None:
+    def _optimize_hyperparameters(self) -> tuple[int, int]:
+        """Multi-start L-BFGS-B MLE; returns ``(starts, nfev)``."""
         bounds = self._bounds_full()
         starts = [self._theta_full()]
         lo = np.array([b[0] for b in bounds])
@@ -346,19 +380,25 @@ class GaussianProcess:
         for _ in range(max(0, self.n_restarts - 1)):
             starts.append(lo + self.rng.random(len(bounds)) * (hi - lo))
 
+        n = self._X.shape[0]
+        work = (np.empty((self.kernel.n_hyperparameters, n, n)), np.eye(n))
         best_nll, best_theta = np.inf, self._theta_full()
+        nfev = 0
         for t0 in starts:
             res = minimize(
                 self._neg_log_marginal_likelihood,
                 t0,
+                args=(work,),
                 jac=True,
                 bounds=bounds,
                 method="L-BFGS-B",
                 options={"maxiter": 100},
             )
+            nfev += int(res.nfev)
             if np.isfinite(res.fun) and res.fun < best_nll:
                 best_nll, best_theta = float(res.fun), res.x
         self._set_theta_full(best_theta)
+        return len(starts), nfev
 
     def _train_covariance(self) -> np.ndarray:
         """Noise-free ``K(X, X)``, reused when theta is unchanged."""

@@ -76,39 +76,54 @@ class Kernel(ABC):
         return [(np.log(1e-4), np.log(1e4))] + [(np.log(1e-2), np.log(1e2))] * self.dim
 
     # -- covariance evaluation -------------------------------------------
-    @abstractmethod
     def __call__(self, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
         """Covariance matrix between rows of ``X`` and ``Z`` (or ``X``)."""
+        X, Z = self._prep(X, Z)
+        return self._gram(_scaled_sqdist(X, Z, self.lengthscales), False)[0]
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Diagonal of ``self(X, X)`` without forming the full matrix; for
         stationary kernels this is the constant signal variance."""
         return np.full(X.shape[0], self.variance)
 
-    def theta_gradients(self, X: np.ndarray) -> np.ndarray:
-        """Analytic ``dK/dtheta`` stack, shape ``(n_hyp, n, n)``.
+    def gram_and_gradients(
+        self, X: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``K(X, X)`` and its analytic ``dK/dtheta`` stack, one pass.
 
-        Row 0 is the variance gradient (``dK/d log v = K``); rows 1..d are
-        the per-axis log-lengthscale gradients.  Used by the GP's
-        marginal-likelihood optimizer — analytic gradients keep the MLE
-        fit O(d n^2) instead of the O(d) extra kernel evaluations of
-        finite differencing.
+        Returns ``(K, dK)``: ``K`` is a fresh ``(n, n)`` array the caller
+        may modify; ``dK`` has shape ``(n_hyp, n, n)`` and is written
+        into ``out`` when given (the MLE reuses one buffer across its
+        L-BFGS-B calls).  Row 0 is the variance gradient
+        (``dK/d log v = K``); rows 1..d are the per-axis log-lengthscale
+        gradients ``G * s_i^2``, with ``s_i = (x_i - z_i) / l_i`` and the
+        kernel's radial factor ``G`` from :meth:`_gram`.  Both ``K`` and
+        ``G`` come from one ``_scaled_sqdist`` pass, and analytic
+        gradients keep the MLE fit O(d n^2) instead of the O(d) extra
+        kernel evaluations of finite differencing.
         """
         X, _ = self._prep(X, None)
         n, d = X.shape
-        K = self(X)
-        out = np.empty((self.n_hyperparameters, n, n))
+        K, G = self._gram(_scaled_sqdist(X, X, self.lengthscales), True)
+        if out is None:
+            out = np.empty((d + 1, n, n))
         out[0] = K
-        # Per-axis scaled squared differences s_i^2 = ((x_i - z_i)/l_i)^2.
-        radial = self._radial_gradient_factor(X)  # (n, n)
-        for i in range(d):
-            s2 = ((X[:, i][:, None] - X[:, i][None, :]) / self.lengthscales[i]) ** 2
-            out[1 + i] = radial * s2
-        return out
+        S = out[1:]
+        XT = X.T
+        np.subtract(XT[:, :, None], XT[:, None, :], out=S)
+        np.divide(S, self.lengthscales[:, None, None], out=S)
+        np.square(S, out=S)
+        np.multiply(S, G, out=S)
+        return K, out
 
-    def _radial_gradient_factor(self, X: np.ndarray) -> np.ndarray:
-        """Matrix ``G`` with ``dK/d log l_i = G * s_i^2``; kernel-specific."""
-        raise NotImplementedError
+    @abstractmethod
+    def _gram(
+        self, d2: np.ndarray, radial: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Covariance from scaled squared distances ``d2``, plus — when
+        ``radial`` — the matrix ``G`` with ``dK/d log l_i = G * s_i^2``
+        (else ``None``).  The one formula :meth:`__call__` and
+        :meth:`gram_and_gradients` share."""
 
     def _prep(self, X: np.ndarray, Z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -137,14 +152,10 @@ class RBF(Kernel):
     objectives.
     """
 
-    def __call__(self, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-        X, Z = self._prep(X, Z)
-        d2 = _scaled_sqdist(X, Z, self.lengthscales)
-        return self.variance * np.exp(-0.5 * d2)
-
-    def _radial_gradient_factor(self, X: np.ndarray) -> np.ndarray:
-        # K = v exp(-r^2/2); d/d log l_i = K * s_i^2.
-        return self(X)
+    def _gram(self, d2, radial):
+        K = self.variance * np.exp(-0.5 * d2)
+        # d/d log l_i = K * s_i^2.
+        return K, (K if radial else None)
 
 
 class Matern32(Kernel):
@@ -154,17 +165,13 @@ class Matern32(Kernel):
     kinks (occupancy cliffs, cache-capacity steps).
     """
 
-    def __call__(self, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-        X, Z = self._prep(X, Z)
-        r = np.sqrt(_scaled_sqdist(X, Z, self.lengthscales))
-        sr = np.sqrt(3.0) * r
-        return self.variance * (1.0 + sr) * np.exp(-sr)
-
-    def _radial_gradient_factor(self, X: np.ndarray) -> np.ndarray:
+    def _gram(self, d2, radial):
+        sr = np.sqrt(3.0) * np.sqrt(d2)
+        e = np.exp(-sr)
+        K = self.variance * (1.0 + sr) * e
         # dK/dr = -3 v r exp(-sqrt(3) r); dr/d log l_i = -s_i^2 / r,
         # so dK/d log l_i = 3 v exp(-sqrt(3) r) * s_i^2.
-        r = np.sqrt(_scaled_sqdist(X, X, self.lengthscales))
-        return 3.0 * self.variance * np.exp(-np.sqrt(3.0) * r)
+        return K, (3.0 * self.variance * e if radial else None)
 
 
 class Matern52(Kernel):
@@ -173,18 +180,14 @@ class Matern52(Kernel):
     ``v * (1 + s r + s^2 r^2 / 3) exp(-s r)``, s=sqrt(5).
     """
 
-    def __call__(self, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-        X, Z = self._prep(X, Z)
-        r = np.sqrt(_scaled_sqdist(X, Z, self.lengthscales))
-        sr = np.sqrt(5.0) * r
-        return self.variance * (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
-
-    def _radial_gradient_factor(self, X: np.ndarray) -> np.ndarray:
+    def _gram(self, d2, radial):
+        sr = np.sqrt(5.0) * np.sqrt(d2)
+        e = np.exp(-sr)
+        p = 1.0 + sr
+        K = self.variance * (p + sr * sr / 3.0) * e
         # dK/dr = -(5/3) v r (1 + sqrt(5) r) exp(-sqrt(5) r);
         # dK/d log l_i = (5/3) v (1 + sqrt(5) r) exp(-sqrt(5) r) * s_i^2.
-        r = np.sqrt(_scaled_sqdist(X, X, self.lengthscales))
-        sr = np.sqrt(5.0) * r
-        return (5.0 / 3.0) * self.variance * (1.0 + sr) * np.exp(-sr)
+        return K, ((5.0 / 3.0) * self.variance * p * e if radial else None)
 
 
 _KERNELS = {"rbf": RBF, "matern32": Matern32, "matern52": Matern52}

@@ -645,7 +645,8 @@ class BayesianOptimizer:
                     model.noise = self._gp_noise
                 if self._gp_jitter is not None:
                     model.jitter = self._gp_jitter
-                model.fit(X[idx], y[idx], optimize=optimize)
+                model.fit(X[idx], y[idx], optimize=optimize,
+                          tracer=self.tracer)
             else:
                 model = InducingPointGP(kernel, random_state=rng)
                 if self._gp_noise is not None:
@@ -706,7 +707,7 @@ class BayesianOptimizer:
         if self._gp_jitter is not None:
             model.jitter = self._gp_jitter
         try:
-            model.fit(X, y, optimize=optimize)
+            model.fit(X, y, optimize=optimize, tracer=self.tracer)
             self.last_drift = self._measure_drift(self._model, model)
             self._model = model
             self._kernel_theta = model.kernel.theta.copy()

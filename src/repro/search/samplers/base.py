@@ -132,12 +132,19 @@ class BaseSampler(ABC):
         Each proposal depends on the previous evaluation's outcome, so
         evaluations cannot overlap: the driver reports the sum of costs
         as search time instead of the parallel makespan.
+    deterministic:
+        Re-asking :meth:`suggest` with the same history returns the same
+        proposal, or a uniform ``space.sample(rng)`` draw that the
+        driver's own fallback would make anyway.  The driver therefore
+        asks once per record and goes straight to the uniform fallback
+        after a rejected proposal, instead of re-asking.
     """
 
     name: str = ""
     aliases: Sequence[str] = ()
     capabilities: SamplerCapabilities = SamplerCapabilities()
     sequential: bool = False
+    deterministic: bool = False
 
     #: ``SearchSpec.engine_options`` keys consumed by the generic driver
     #: rather than the sampler constructor.

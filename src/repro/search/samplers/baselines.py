@@ -23,6 +23,10 @@ fixed once in :meth:`~BaseSampler.prepare`:
 Random and grid evaluations are independent, so their search time is
 the parallel makespan; the two local searches are
 :attr:`~BaseSampler.sequential` and report the sum of costs.
+Grid and hill climbing are :attr:`~BaseSampler.deterministic`: a
+re-ask after a breaker veto would return the vetoed proposal again (or,
+at a hill-climbing restart, the uniform draw the driver's fallback makes
+anyway), so the driver asks them once per record.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ class GridSampler(BaseSampler):
 
     name = "grid"
     capabilities = _BASELINE_CAPABILITIES
+    deterministic = True
 
     def __init__(
         self, points_per_axis: int = 4, max_points_per_discrete_axis: int = 32
@@ -146,6 +151,7 @@ class HillClimbSampler(BaseSampler):
     name = "hillclimb"
     capabilities = _BASELINE_CAPABILITIES
     sequential = True
+    deterministic = True
 
     def suggest(
         self, history: Sequence, space, rng: np.random.Generator

@@ -211,17 +211,20 @@ class SamplerSearch:
         """One validated proposal for record ``index`` (or ``None``).
 
         The sampler gets :data:`_SUGGEST_RETRIES` attempts on the
-        iteration's own RNG stream; proposals failing the shared validity
-        filter are discarded and re-asked.  After the budget — or
-        immediately, under capability fallback — uniform feasible
-        sampling takes over, with the breaker's own redraw loop on top.
+        iteration's own RNG stream (one for a
+        :attr:`~BaseSampler.deterministic` sampler, which would only
+        repeat itself); proposals failing the shared validity filter are
+        discarded and re-asked.  After the budget — or immediately, under
+        capability fallback — uniform feasible sampling takes over, with
+        the breaker's own redraw loop on top.
         ``None`` once the sampler reports itself exhausted or the
         reachable space appears fully quarantined.
         """
         rng = self._iter_rng(index)
         history = self.database.records
         if not self._fallback_features:
-            for _ in range(_SUGGEST_RETRIES):
+            asks = 1 if self.sampler.deterministic else _SUGGEST_RETRIES
+            for _ in range(asks):
                 cfg = self.sampler.suggest(history, self.space, rng)
                 if cfg is None:
                     return None

@@ -18,6 +18,8 @@ Span taxonomy (see ``docs/observability.md``)::
       search                 one campaign member search
         bo_iteration         one BO loop iteration
           gp_fit             surrogate (re)fit
+            mle              hyperparameter MLE
+            factorize        Cholesky factorization
           acquisition        acquisition maximization
           evaluation         one objective evaluation
 

@@ -122,6 +122,37 @@ class TestMeanFunction:
         pred = gp.predict(X, return_std=False)
         assert np.allclose(pred, y, atol=0.05)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_non_finite_prior_mean_fit_raises_gp_fit_error(self, bad, optimize):
+        X, y = toy_data(10)
+
+        def prior(Z):
+            m = np.zeros(Z.shape[0])
+            m[-1] = bad
+            return m
+
+        gp = GaussianProcess(dim=2, mean_function=prior, random_state=0)
+        with pytest.raises(GPFitError, match="prior mean"):
+            gp.fit(X, y, optimize=optimize)
+        assert not gp.is_fit and gp.train_X is None
+
+    def test_non_finite_prior_mean_update_raises_and_keeps_model(self):
+        X, y = toy_data(12)
+        prior = lambda Z: np.where(Z[:, 0] > 2.0, np.nan, 0.0)  # noqa: E731
+        gp = GaussianProcess(dim=2, mean_function=prior, random_state=0)
+        gp.fit(X[:10], y[:10])
+        L, mu = gp.cholesky_factor.copy(), gp.predict(X, return_std=False)
+        X_bad = X[10:].copy()
+        X_bad[0, 0] = 3.0  # outside the cube, where the prior mean is NaN
+        with pytest.raises(GPFitError, match="prior mean"):
+            gp.update(X_bad, y[10:])
+        assert gp.n_train == 10
+        assert np.array_equal(gp.cholesky_factor, L)
+        assert np.array_equal(gp.predict(X, return_std=False), mu)
+        gp.update(X[10:], y[10:])  # the model is still usable
+        assert gp.n_train == 12 and gp.last_fit_mode == "incremental"
+
 
 class TestPosteriorSampling:
     def test_sample_shapes_and_spread(self):

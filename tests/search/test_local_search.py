@@ -5,7 +5,12 @@ import pytest
 
 from repro.bo import EvaluationDatabase
 from repro.search import SamplerSearch, SearchCampaign, SearchSpec, run_search_spec
-from repro.search.samplers import AnnealSampler, HillClimbSampler
+from repro.search.samplers import (
+    AnnealSampler,
+    GridSampler,
+    HillClimbSampler,
+    RandomSampler,
+)
 from repro.space import ExpressionConstraint, Integer, Ordinal, SearchSpace
 
 
@@ -154,3 +159,61 @@ class TestCheckpointResume:
         resumed = campaign(bowl, ck)
         assert key(resumed) == key(whole)
         assert resumed.searches[0].search_time == whole.searches[0].search_time
+
+
+def poisoned_quadrant(c):
+    """``bowl`` with a permanent failure wherever ``x > 10 and y > 10``:
+    one breaker cell at ``quarantine_resolution=2``."""
+    if c["x"] > 10 and c["y"] > 10:
+        raise ValueError("poisoned quadrant")
+    return bowl(c)
+
+
+class TestVetoedProposals:
+    """A deterministic sampler is asked once per record: re-asking after a
+    breaker veto would return the vetoed proposal again."""
+
+    @staticmethod
+    def counted(base, deterministic):
+        class Counted(base):
+            calls = 0
+
+            def suggest(self, history, space, rng):
+                type(self).calls += 1
+                return super().suggest(history, space, rng)
+
+        Counted.deterministic = deterministic
+        return Counted
+
+    def search(self, sampler_cls, budget):
+        s = SamplerSearch(
+            discrete_space(), poisoned_quadrant, sampler_cls(),
+            max_evaluations=budget, quarantine_threshold=2,
+            quarantine_resolution=2, random_state=0,
+        )
+        return s.run()
+
+    @pytest.mark.parametrize("base,budget", [(HillClimbSampler, 200),
+                                             (GridSampler, 120)])
+    def test_one_ask_per_record_and_identical_records(self, base, budget):
+        assert base.deterministic
+        once = self.counted(base, True)
+        reask = self.counted(base, False)  # the old 64-ask behaviour
+        a = self.search(once, budget)
+        b = self.search(reask, budget)
+        assert a.meta.get("quarantined"), "breaker must trip"
+
+        def key(r):
+            return [(x.config, repr(x.objective), x.cost, str(x.status))
+                    for x in r.database]
+
+        assert key(a) == key(b)
+        assert a.search_time == b.search_time
+        assert once.calls == len(a.database)
+        assert reask.calls > once.calls
+        # Each veto of a sampler proposal counts once, not 64 times.
+        assert 0 < a.meta["quarantine_skipped"] < b.meta["quarantine_skipped"]
+
+    def test_stochastic_samplers_keep_re_asking(self):
+        assert not AnnealSampler.deterministic
+        assert not RandomSampler.deterministic

@@ -93,6 +93,51 @@ class TestSequentialParallelByteIdentity:
         ) == sum(s.n_evaluations for s in seq_result.searches)
 
 
+class TestGpFitChildSpans:
+    """``gp_fit`` splits into ``mle`` and ``factorize`` children."""
+
+    @staticmethod
+    def spans(sink):
+        return [e for e in sink.events if e["kind"] == "span"]
+
+    def test_mle_and_factorize_nest_under_gp_fit(self):
+        _, sink = traced_run()
+        spans = self.spans(sink)
+        by_id = {(e["scope"], e["id"]): e for e in spans}
+        fits = [e for e in spans if e["name"] == "gp_fit"]
+        children: dict[tuple, list[str]] = {}
+        for e in spans:
+            if e["name"] in ("mle", "factorize"):
+                parent = by_id[(e["scope"], e["parent"])]
+                assert parent["name"] == "gp_fit"
+                assert parent["t0"] <= e["t0"] <= e["t1"] <= parent["t1"]
+                children.setdefault((e["scope"], e["parent"]), []).append(
+                    e["name"]
+                )
+            if e["name"] == "mle":
+                assert e["attrs"]["starts"] == 3
+                assert isinstance(e["attrs"]["nfev"], int)
+                assert e["attrs"]["nfev"] >= e["attrs"]["starts"]
+        assert fits and any(f["attrs"]["optimize"] for f in fits)
+        for f in fits:
+            got = children.get((f["scope"], f["id"]), [])
+            if f["attrs"]["mode"] != "full":
+                assert got == []
+            elif f["attrs"]["optimize"]:
+                assert got == ["mle", "factorize"]
+            else:
+                assert got == ["factorize"]
+
+    def test_child_spans_byte_identical_sequential_parallel(self):
+        _, seq = traced_run()
+        _, par = traced_run(parallel=True, n_workers=3)
+        pick = lambda sink: [  # noqa: E731
+            encode_event(e) for e in self.spans(sink)
+            if e["name"] in ("mle", "factorize")
+        ]
+        assert pick(seq) and pick(seq) == pick(par)
+
+
 class TestPureObserver:
     def test_results_identical_off_on_parallel(self):
         bare = SearchCampaign(specs(), random_state=SEED).run()
