@@ -102,13 +102,16 @@ class MemoizingObjective:
     store / store_scope / provenance:
         Optional cross-job persistence: a
         :class:`~repro.search.store.EvaluationStore` (any object with its
-        ``lookup``/``record``/``refresh`` protocol), the space
+        ``lookup``/``refresh``/``claim``/``record`` protocol), the space
         fingerprint scoping this search's entries, and the provenance
         dict gating which stored records may be served.  Local misses
-        consult the store (re-polling it once for lines a concurrent job
-        appended since the last read); fresh measurements are written
-        back through it.  Store hits count in ``cross_hits`` — not
-        ``hits`` — and are tagged ``meta["cache_scope"] = "cross_job"``
+        consult the store; a store miss takes the key's
+        :meth:`~repro.search.store.EvaluationStore.claim`, re-polls the
+        store for lines a concurrent job appended since the last read,
+        and only then evaluates and writes the measurement back — so
+        two jobs racing on one key pay for it once.  Store hits count
+        in ``cross_hits`` — not ``hits`` — and are tagged
+        ``meta["cache_scope"] = "cross_job"``
         so the ledger can attribute them separately from same-job
         replays.
 
@@ -172,21 +175,6 @@ class MemoizingObjective:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def _store_lookup(self, key: str):
-        if self.store is None or self.store_scope is None:
-            return None
-        entry = self.store.lookup(
-            self.store_scope, key, provenance=self.provenance
-        )
-        if entry is None:
-            # A concurrent job may have measured this configuration since
-            # our last read — poll the tail once before paying for it.
-            self.store.refresh()
-            entry = self.store.lookup(
-                self.store_scope, key, provenance=self.provenance
-            )
-        return entry
-
     def __call__(self, config: Mapping[str, Any]) -> tuple[float, dict[str, Any]]:
         key = canonical_key(config)
         if key in self._cache:
@@ -198,12 +186,33 @@ class MemoizingObjective:
             raise PermanentFault(
                 f"memoized permanent failure: {self._permanent[key]}"
             )
-        entry = self._store_lookup(key)
-        if entry is not None:
-            self.cross_hits += 1
-            value, meta = float(entry.value), dict(entry.meta)
-            self._cache[key] = (value, meta)
-            return value, {**meta, "cache_hit": True, "cache_scope": "cross_job"}
+        if self.store is None or self.store_scope is None:
+            return self._evaluate(key, config)
+        entry = self.store.lookup(
+            self.store_scope, key, provenance=self.provenance
+        )
+        if entry is None:
+            # Claim the key, then poll the tail once: a concurrent job
+            # may have measured it since our last read, or be measuring
+            # it now (then the claim waits for its record).
+            with self.store.claim(self.store_scope, key):
+                self.store.refresh()
+                entry = self.store.lookup(
+                    self.store_scope, key, provenance=self.provenance
+                )
+                if entry is None:
+                    value, meta = self._evaluate(key, config)
+                    self.store.record(
+                        self.store_scope, key, value, meta,
+                        provenance=self.provenance,
+                    )
+                    return value, meta
+        self.cross_hits += 1
+        value, meta = float(entry.value), dict(entry.meta)
+        self._cache[key] = (value, meta)
+        return value, {**meta, "cache_hit": True, "cache_scope": "cross_job"}
+
+    def _evaluate(self, key: str, config: Mapping[str, Any]):
         out = self.objective(config)
         if isinstance(out, tuple):
             value, meta = float(out[0]), dict(out[1])
@@ -211,10 +220,6 @@ class MemoizingObjective:
             value, meta = float(out), {}
         self.misses += 1
         self._cache[key] = (value, meta)
-        if self.store is not None and self.store_scope is not None:
-            self.store.record(
-                self.store_scope, key, value, meta, provenance=self.provenance
-            )
         return value, dict(meta)
 
 

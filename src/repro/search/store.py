@@ -25,6 +25,13 @@ Design constraints, in order:
   never torn mid-line — and readers tolerate (and re-poll past) an
   incomplete tail.  Torn tails from a hard crash are repaired with the
   shared :func:`repro.bo.history.repair_torn_tail` on writer open.
+* **One evaluation per key.**  Two jobs that miss on the same key at
+  the same moment would both pay for it and both append it.
+  :meth:`EvaluationStore.claim` closes that window: a caller holds the
+  key's claim — an ``fcntl`` byte-range lock in the sibling
+  ``<path>.claims`` file, one byte per key hash — while it re-checks
+  the store, evaluates and records.  The kernel drops the lock when
+  its holder dies, so a killed worker never strands a key.
 * **O(1) appends, incremental reads.**  Appending never rewrites the
   file; :meth:`refresh` reads only bytes past the last consumed offset,
   so polling the store on a cache miss is cheap even when it is large.
@@ -35,6 +42,9 @@ so it can ride a job spec into a forked worker.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import hashlib
 import json
 import os
 import threading
@@ -55,6 +65,49 @@ logger = get_logger("search")
 
 _HEADER = "repro-evaluation-store"
 _VERSION = 1
+
+# Claims: one lock byte per key hash in a 2**40-byte sparse range (the
+# lock file itself stays empty), so distinct keys almost never share a
+# byte — and when they do, one evaluation merely waits for the other.
+_CLAIM_SPAN = 1 << 40
+# ``fcntl`` record locks belong to the process, not the thread, so
+# threads of one process are ordered by these striped locks first.
+_CLAIM_STRIPES = [threading.Lock() for _ in range(64)]
+_claim_fds: dict[str, int] = {}  # lock-file path -> this process's descriptor
+_claim_fds_lock = threading.Lock()
+
+
+def _reset_claims_in_child() -> None:
+    # A forked child holds no record locks, but it may inherit a stripe
+    # or the fd table locked by a parent thread.  Closing the inherited
+    # descriptors releases nothing of the parent's.
+    global _CLAIM_STRIPES, _claim_fds_lock
+    _CLAIM_STRIPES = [threading.Lock() for _ in range(len(_CLAIM_STRIPES))]
+    _claim_fds_lock = threading.Lock()
+    for fd in _claim_fds.values():
+        try:
+            os.close(fd)
+        except OSError:  # pragma: no cover - already gone
+            pass
+    _claim_fds.clear()
+
+
+os.register_at_fork(after_in_child=_reset_claims_in_child)
+
+
+def _claim_fd(path: str) -> int:
+    """This process's descriptor on a claims file, opened once and kept.
+
+    Kept open for the process's lifetime: closing *any* descriptor on a
+    file drops every ``fcntl`` lock the process holds on it, so one
+    shared descriptor per file is the only safe way to hold several.
+    """
+    with _claim_fds_lock:
+        fd = _claim_fds.get(path)
+        if fd is None:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            _claim_fds[path] = fd
+        return fd
 
 
 def _jsonable(value: Any) -> Any:
@@ -182,6 +235,7 @@ class EvaluationStore:
     ``os.write`` on an ``O_APPEND`` descriptor.  Readers only consume
     newline-terminated lines and re-poll the tail on the next
     :meth:`refresh`, so a half-visible line is never mis-parsed.
+    Writers that evaluate under :meth:`claim` append each key once.
     """
 
     def __init__(self, path: str | os.PathLike, *, fsync: bool = True):
@@ -292,6 +346,41 @@ class EvaluationStore:
         """All stored evaluations for one space fingerprint."""
         with self._lock:
             return [e for (s, _), e in self._index.items() if s == space]
+
+    # -- claiming ------------------------------------------------------
+    @contextlib.contextmanager
+    def claim(self, space: str, key: str) -> Iterator[None]:
+        """Hold the cross-process claim on ``(space, key)``.
+
+        Blocks while another thread or process holds it.  The protocol
+        for a caller that missed on a key: take the claim, look the key
+        up again (after a :meth:`refresh`), and evaluate and
+        :meth:`record` only if it is still missing.  A concurrent job
+        that missed on the same key thus waits for the first
+        measurement and is served it, instead of paying for it twice.
+
+        A claim orders evaluations only; it guards no data.  If the
+        claims file cannot be opened (a read-only directory), the claim
+        is skipped and concurrent jobs may measure a key twice, as
+        they would without it.
+        """
+        digest = hashlib.sha256(f"{space}\0{key}".encode()).digest()
+        slot = int.from_bytes(digest[:8], "big") % _CLAIM_SPAN
+        try:
+            fd = _claim_fd(self.path + ".claims")
+        except OSError:
+            logger.warning(
+                "evaluation store %s: claims file unavailable, "
+                "evaluating without a claim", self.path
+            )
+            yield
+            return
+        with _CLAIM_STRIPES[slot % len(_CLAIM_STRIPES)]:
+            fcntl.lockf(fd, fcntl.LOCK_EX, 1, slot)
+            try:
+                yield
+            finally:
+                fcntl.lockf(fd, fcntl.LOCK_UN, 1, slot)
 
     # -- writing -------------------------------------------------------
     def record(

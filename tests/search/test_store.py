@@ -4,6 +4,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +180,116 @@ class TestConcurrentWriters:
                 assert entry is not None and entry.value == float(i)
         for raw in open(path):  # no torn or interleaved bytes
             json.loads(raw)
+
+
+def _claim_then_mark(path, marker):
+    with EvaluationStore(path).claim("fp", key(1)):
+        open(marker, "w").close()
+
+
+def _hold_claim_forever(path, conn):
+    with EvaluationStore(path).claim("fp", key(1)):
+        conn.send("held")
+        time.sleep(60)
+
+
+def _slow_counting_objective(calls_path):
+    def obj(config):
+        time.sleep(0.02)
+        fd = os.open(calls_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, (canonical_key(config) + "\n").encode())
+        os.close(fd)
+        return float(config["x"]), {}
+    return obj
+
+
+def _lockstep_job(path, calls_path, barrier):
+    memo = MemoizingObjective(
+        _slow_counting_objective(calls_path), store=EvaluationStore(path),
+        store_scope="fp", provenance=DET,
+    )
+    barrier.wait()
+    for x in range(6):
+        assert memo({"x": x})[0] == float(x)
+
+
+def _store_eval_lines(path):
+    lines = [json.loads(raw) for raw in open(path)]
+    return [d for d in lines if "key" in d]
+
+
+class TestClaims:
+    def test_claim_excludes_another_process(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        marker = str(tmp_path / "child-claimed")
+        ctx = multiprocessing.get_context("fork")
+        with EvaluationStore(path).claim("fp", key(1)):
+            child = ctx.Process(target=_claim_then_mark, args=(path, marker))
+            child.start()
+            time.sleep(0.3)
+            assert not os.path.exists(marker)  # blocked on our claim
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert os.path.exists(marker)
+
+    def test_distinct_keys_do_not_wait(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        store = EvaluationStore(path)
+        with store.claim("fp", key(1)):
+            with store.claim("fp", key(2)):
+                pass
+
+    def test_killed_holder_releases_its_claim(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        ctx = multiprocessing.get_context("fork")
+        parent_end, child_end = ctx.Pipe()
+        child = ctx.Process(target=_hold_claim_forever, args=(path, child_end))
+        child.start()
+        assert parent_end.poll(30) and parent_end.recv() == "held"
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(timeout=30)
+        with EvaluationStore(path).claim("fp", key(1)):
+            pass  # the kernel dropped the dead holder's lock
+
+    def test_lockstep_processes_evaluate_each_key_once(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        calls_path = str(tmp_path / "calls")
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        jobs = [
+            ctx.Process(target=_lockstep_job, args=(path, calls_path, barrier))
+            for _ in range(2)
+        ]
+        for p in jobs:
+            p.start()
+        for p in jobs:
+            p.join(timeout=60)
+            assert p.exitcode == 0
+        calls = open(calls_path).read().splitlines()
+        assert sorted(calls) == sorted(key(x) for x in range(6))
+        assert sorted(d["key"] for d in _store_eval_lines(path)) == sorted(calls)
+
+    def test_lockstep_threads_evaluate_each_key_once(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        calls_path = str(tmp_path / "calls")
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def job():
+            try:
+                _lockstep_job(path, calls_path, barrier)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=job) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not errors
+        calls = open(calls_path).read().splitlines()
+        assert sorted(calls) == sorted(key(x) for x in range(6))
+        assert len(_store_eval_lines(path)) == 6
 
 
 class TestSpaceFingerprint:
